@@ -53,6 +53,6 @@ pub use equisat::{compare, rep_for_source, CommandComparison, EquisatReport};
 pub use error::AnalyzerError;
 pub use incremental::{IncrementalEngine, IncrementalStats};
 pub use minimize::minimize_witness;
-pub use oracle::{Oracle, OracleCacheStats};
+pub use oracle::{DedupStats, Oracle, OracleCacheStats};
 pub use persist::{TieredStore, VerdictStore};
 pub use report::{AnalyzerReport, CommandReport, CommandStatus};

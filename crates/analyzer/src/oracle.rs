@@ -18,28 +18,34 @@
 //! as an `Ok` one. Ground evaluations ([`Oracle::evaluate`]) are pass-through
 //! — they never touch the solver and are cheaper than a table probe.
 //!
-//! A disabled oracle ([`Oracle::disabled`]) answers every query by solving
-//! afresh; the study's correctness gate asserts that cache-enabled and
-//! cache-disabled runs produce byte-identical results.
+//! # The verdict chain
 //!
-//! Two further layers sit on the memo table:
+//! The boolean verdict ([`Oracle::satisfies_oracle`], the question every
+//! technique's accept/reject loop asks) takes one path, probed in order:
 //!
-//! - **Singleflight.** Concurrent identical queries (daemon worker threads,
-//!   portfolio entrants racing the same candidate) collapse onto one
-//!   in-flight solve: the first caller becomes the leader, everyone else
-//!   blocks until the leader memoizes, then re-probes the table and hits.
-//!   Duplicate-while-in-flight callers are counted in
-//!   [`OracleCacheStats::collapsed`].
-//! - **Persistent tier.** An attached [`VerdictStore`]
-//!   ([`Oracle::attach_persist`]) is probed on an in-memory verdict miss
-//!   and fed every freshly computed verdict, so a restarted process boots
-//!   warm. Persist hits count as cache hits (plus
-//!   [`OracleCacheStats::persist_hits`]) and are memoized back into the
-//!   table with zeroed solver counters — the solve happened in a previous
-//!   process life.
+//! 1. the memo table — a full [`Oracle::execute_all`] answer first (it may
+//!    be a cached error), then the verdict-only line;
+//! 2. the attached [`VerdictStore`] tier ([`Oracle::attach_persist`]: disk
+//!    log and/or remote shards), whose hits are memoized back with zeroed
+//!    solver counters — the solve happened elsewhere;
+//! 3. singleflight: concurrent identical queries (daemon workers, portfolio
+//!    entrants racing one candidate) wait for one leader and re-probe;
+//! 4. the leader solves with the strategy fixed at construction — the
+//!    incremental engine ([`Oracle::new`]), or cold [`Analyzer::execute_all`]
+//!    ([`Oracle::cold`], and whenever the engine declines) — then memoizes
+//!    the verdict and writes it through to the tier.
+//!
+//! [`DedupStats`] count the chain once: hits are verdict queries answered
+//! without a solve of their own (memo, tier, or waiting on the leader),
+//! misses are those that solved, and `coalesced` is the waiting subset.
+//!
+//! A disabled oracle ([`Oracle::disabled`]) is the one reference arm: no
+//! memo, singleflight, tier or engine — every query solves afresh, and the
+//! study's correctness gate asserts that it produces byte-identical
+//! results.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 use mualloy_relational::Instance;
@@ -78,9 +84,9 @@ struct SpecEntry {
     /// Outcome of [`Analyzer::execute_all`] — `satisfies_oracle` and
     /// `failing_commands` are derived views of this single answer.
     execute_all: Option<Memo<Result<Vec<CommandOutcome>, AnalyzerError>>>,
-    /// Boolean oracle verdict computed by the incremental engine. Only
-    /// populated on the incremental path; the cold path derives the verdict
-    /// from `execute_all` (which is probed first and is never shadowed).
+    /// Boolean oracle verdict from the incremental engine or a tier. The
+    /// verdict chain probes `execute_all` first, so a full answer is never
+    /// shadowed by this line.
     verdict: Option<Memo<bool>>,
     /// Per-command outcomes, for commands not covered by `execute_all`
     /// (e.g. localization re-running one command on a relaxed spec).
@@ -91,6 +97,11 @@ struct SpecEntry {
     counterexamples: HashMap<(String, u32, usize), InstancesMemo>,
     /// Instance enumerations keyed by (formula, scope, limit).
     enumerations: HashMap<(Formula, u32, usize), InstancesMemo>,
+}
+
+/// Whether every command's outcome matches its `expect` annotation.
+fn all_match(outcomes: &[CommandOutcome]) -> bool {
+    outcomes.iter().all(CommandOutcome::matches_expectation)
 }
 
 /// Tags an `oracle.*` query span with its cache verdict and the solver
@@ -179,6 +190,50 @@ impl OracleCacheStats {
     }
 }
 
+/// A point-in-time snapshot of the verdict chain's counters — the
+/// `candidate_dedup` telemetry section.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct DedupStats {
+    /// Verdict queries answered without a solve of their own: by the memo,
+    /// by the tier, or by waiting on a concurrent leader.
+    pub hits: u64,
+    /// Verdict queries that solved.
+    pub misses: u64,
+    /// Hits that waited on a concurrent leader's solve (a subset of
+    /// `hits`).
+    pub coalesced: u64,
+}
+
+impl DedupStats {
+    /// Fraction of verdict queries answered without a solve (0.0 when
+    /// idle).
+    pub fn dedup_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+
+    /// Accumulates another snapshot into this one.
+    pub fn absorb(&mut self, other: &DedupStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.coalesced += other.coalesced;
+    }
+
+    /// The telemetry `candidate_dedup` section for this snapshot.
+    pub fn section(&self) -> specrepair_telemetry::DedupSection {
+        specrepair_telemetry::DedupSection {
+            hits: self.hits,
+            misses: self.misses,
+            coalesced: self.coalesced,
+            rate: self.dedup_rate(),
+        }
+    }
+}
+
 /// A query kind discriminant for singleflight keys: `execute_all` and the
 /// boolean verdict are distinct solves and must not block one another.
 const FLIGHT_EXECUTE_ALL: u8 = 0;
@@ -223,10 +278,9 @@ pub struct Oracle {
     /// bound the table so it cannot grow without limit.
     shard_capacity: Option<usize>,
     shards: Vec<Mutex<Shard>>,
-    /// Whether boolean verdict queries route through the incremental
-    /// engine (default on; `--no-incremental` flips it off at run start).
-    incremental: AtomicBool,
-    engine: IncrementalEngine,
+    /// The verdict solve strategy: the incremental engine, or `None` to
+    /// solve cold ([`Oracle::cold`], [`Oracle::disabled`]).
+    engine: Option<IncrementalEngine>,
     /// The attached persistent verdict tier, if any (`attach_persist`).
     persist: parking_lot::RwLock<Option<Arc<dyn VerdictStore>>>,
     /// In-flight solve registry for singleflight collapsing.
@@ -238,6 +292,9 @@ pub struct Oracle {
     evictions: AtomicU64,
     persist_hits: AtomicU64,
     collapsed: AtomicU64,
+    dedup_hits: AtomicU64,
+    dedup_misses: AtomicU64,
+    dedup_coalesced: AtomicU64,
 }
 
 impl Default for Oracle {
@@ -257,15 +314,24 @@ impl std::fmt::Debug for Oracle {
 }
 
 impl Oracle {
-    /// A fresh memoizing oracle.
+    /// A fresh memoizing oracle whose verdicts solve incrementally.
     pub fn new() -> Oracle {
-        Oracle::with_enabled(true)
+        Oracle::build(true, true)
     }
 
-    /// A pass-through oracle: every query solves afresh. Used as the
-    /// control arm of the cache-on/cache-off equivalence gate.
+    /// A memoizing oracle whose verdicts solve cold, through
+    /// [`Analyzer::execute_all`]: for helper oracles outside a measured run
+    /// (corpus generation), whose solves must not show up as engine
+    /// activity, and for tests comparing the two strategies.
+    pub fn cold() -> Oracle {
+        Oracle::build(true, false)
+    }
+
+    /// The reference arm: no memo, singleflight, tier or engine — every
+    /// query solves afresh. The cache-on/cache-off equivalence gate
+    /// compares every other configuration against it.
     pub fn disabled() -> Oracle {
-        Oracle::with_enabled(false)
+        Oracle::build(false, false)
     }
 
     /// A memoizing oracle whose table is bounded at `per_shard` spec
@@ -275,18 +341,17 @@ impl Oracle {
     /// long-running processes (the `specrepaird` daemon) where an unbounded
     /// memo table is a slow leak.
     pub fn bounded(per_shard: usize) -> Oracle {
-        let mut oracle = Oracle::with_enabled(true);
+        let mut oracle = Oracle::new();
         oracle.shard_capacity = Some(per_shard.max(1));
         oracle
     }
 
-    fn with_enabled(enabled: bool) -> Oracle {
+    fn build(enabled: bool, incremental: bool) -> Oracle {
         Oracle {
             enabled,
             shard_capacity: None,
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            incremental: AtomicBool::new(true),
-            engine: IncrementalEngine::new(),
+            engine: incremental.then(IncrementalEngine::new),
             persist: parking_lot::RwLock::new(None),
             inflight: Inflight::default(),
             hits: AtomicU64::new(0),
@@ -296,6 +361,9 @@ impl Oracle {
             evictions: AtomicU64::new(0),
             persist_hits: AtomicU64::new(0),
             collapsed: AtomicU64::new(0),
+            dedup_hits: AtomicU64::new(0),
+            dedup_misses: AtomicU64::new(0),
+            dedup_coalesced: AtomicU64::new(0),
         }
     }
 
@@ -304,22 +372,13 @@ impl Oracle {
         self.enabled
     }
 
-    /// Whether boolean verdict queries route through the incremental
-    /// engine.
-    pub fn incremental_enabled(&self) -> bool {
-        self.incremental.load(Ordering::Relaxed)
-    }
-
-    /// Turns the incremental engine off: every verdict query solves cold,
-    /// exactly as before the engine existed. The `--no-incremental`
-    /// escape hatch and the equivalence gate use this.
-    pub fn disable_incremental(&self) {
-        self.incremental.store(false, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the incremental engine's counters.
+    /// Snapshot of the incremental engine's counters (all zero when
+    /// verdicts solve cold).
     pub fn incremental_stats(&self) -> IncrementalStats {
-        self.engine.stats()
+        self.engine
+            .as_ref()
+            .map(IncrementalEngine::stats)
+            .unwrap_or_default()
     }
 
     /// The configured per-shard entry cap (`None` = unbounded).
@@ -337,6 +396,15 @@ impl Oracle {
             evictions: self.evictions.load(Ordering::Relaxed),
             persist_hits: self.persist_hits.load(Ordering::Relaxed),
             collapsed: self.collapsed.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Snapshot of the verdict chain's hit/miss/coalesced counters.
+    pub fn dedup_stats(&self) -> DedupStats {
+        DedupStats {
+            hits: self.dedup_hits.load(Ordering::Relaxed),
+            misses: self.dedup_misses.load(Ordering::Relaxed),
+            coalesced: self.dedup_coalesced.load(Ordering::Relaxed),
         }
     }
 
@@ -432,30 +500,55 @@ impl Oracle {
         None
     }
 
-    /// Probes the persistent tier for a verdict. On a hit the verdict is
-    /// memoized back into the in-memory table (with zeroed solver counters:
-    /// the solve happened in a previous process life) and counted as a
-    /// cache hit plus a persist hit.
-    fn persist_probe(&self, key: Fingerprint, span: &SpanGuard) -> Option<bool> {
-        let store = self.persist.read().clone()?;
-        let verdict = store.lookup(key)?;
-        self.memoize(self.shard_of(key), key, |e| {
-            if e.verdict.is_none() {
-                e.verdict = Some(Memo {
-                    value: verdict,
-                    solver: SolverStats::default(),
-                });
+    /// The memoized verdict for `key` and the solver counters of the solve
+    /// behind it, from process memory only: the full `execute_all` answer
+    /// when present (a cached error stays an error), otherwise the
+    /// verdict-only line. One shard lock; only a cached error is cloned.
+    fn memo_verdict(&self, key: Fingerprint) -> Option<(Result<bool, AnalyzerError>, SolverStats)> {
+        self.shard_of(key).lock().entries.get(&key).and_then(|e| {
+            if let Some(memo) = &e.execute_all {
+                let verdict = match &memo.value {
+                    Ok(outcomes) => Ok(all_match(outcomes)),
+                    Err(err) => Err(err.clone()),
+                };
+                return Some((verdict, memo.solver));
             }
-        });
-        self.persist_hits.fetch_add(1, Ordering::Relaxed);
-        tag_query(span, true, &SolverStats::default());
-        if span.is_active() {
-            span.attr_bool("persist", true);
-        }
-        Some(self.hit(verdict))
+            e.verdict.as_ref().map(|memo| (Ok(memo.value), memo.solver))
+        })
     }
 
-    /// Feeds a freshly computed verdict to the persistent tier (no-op when
+    /// The lookup half of the verdict chain: the memo, then the attached
+    /// tier, whose hit is memoized back. Counts a hit — `waited` marks a
+    /// query that waited on a concurrent leader first.
+    fn lookup_verdict(
+        &self,
+        key: Fingerprint,
+        waited: bool,
+        span: &SpanGuard,
+    ) -> Option<Result<bool, AnalyzerError>> {
+        let (answer, solver) = match self.memo_verdict(key) {
+            Some(found) => found,
+            None => {
+                let store = self.persist.read().clone()?;
+                let verdict = store.lookup(key)?;
+                self.inject_verdict(key, verdict);
+                self.persist_hits.fetch_add(1, Ordering::Relaxed);
+                if span.is_active() {
+                    span.attr_bool("persist", true);
+                }
+                (Ok(verdict), SolverStats::default())
+            }
+        };
+        tag_query(span, true, &solver);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+        if waited {
+            self.dedup_coalesced.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(answer)
+    }
+
+    /// Feeds a freshly computed verdict to the attached tier (no-op when
     /// none is attached; the store absorbs its own I/O trouble).
     fn persist_record(&self, key: Fingerprint, verdict: bool) {
         if let Some(store) = self.persist.read().clone() {
@@ -464,33 +557,23 @@ impl Oracle {
     }
 
     /// The memoized boolean verdict for `key`, answered from process
-    /// memory only — the full `execute_all` answer when present (a cached
-    /// error yields `None`: the verdict is genuinely unknown), otherwise
-    /// the verdict-only line. Never consults the persistent tier and moves
-    /// no counters: this is the read side of the shard `/verdict` API,
-    /// where recursing into an attached remote tier would loop the
-    /// cluster back onto itself.
+    /// memory only (a cached error yields `None`: the verdict is genuinely
+    /// unknown). Never consults the tier and moves no counters: this is
+    /// the read side of the shard `/verdict` API, where recursing into an
+    /// attached remote tier would loop the cluster back onto itself.
     pub fn probe_verdict(&self, key: Fingerprint) -> Option<bool> {
         if !self.enabled {
             return None;
         }
-        self.shard_of(key).lock().entries.get(&key).and_then(|e| {
-            if let Some(memo) = &e.execute_all {
-                return match &memo.value {
-                    Ok(outcomes) => Some(outcomes.iter().all(CommandOutcome::matches_expectation)),
-                    Err(_) => None,
-                };
-            }
-            e.verdict.as_ref().map(|memo| memo.value)
-        })
+        self.memo_verdict(key).and_then(|(verdict, _)| verdict.ok())
     }
 
     /// Memoizes an externally computed verdict for `key` (the write side
     /// of the shard `/verdict` API: a peer solved this fingerprint and is
     /// pooling the answer). Stored with zeroed solver counters, exactly
-    /// like a persistent-tier hit; an existing memo is never overwritten —
-    /// verdicts are deterministic, so first-writer-wins is also
-    /// every-writer-agrees. No-op on a disabled oracle.
+    /// like a tier hit; an existing memo is never overwritten — verdicts
+    /// are deterministic, so first-writer-wins is also every-writer-agrees.
+    /// No-op on a disabled oracle.
     pub fn inject_verdict(&self, key: Fingerprint, verdict: bool) {
         if !self.enabled {
             return;
@@ -575,13 +658,10 @@ impl Oracle {
     }
 
     /// Memoized [`Analyzer::satisfies_oracle`]: whether every command's
-    /// outcome matches its `expect` annotation.
-    ///
-    /// With the incremental engine on (the default), the verdict is
-    /// answered by persistent solve-under-assumptions sessions; the engine
-    /// declines any candidate it cannot check (falling back to the cold
-    /// [`Oracle::execute_all`] derivation), so verdicts and errors are
-    /// identical either way.
+    /// outcome matches its `expect` annotation, answered by the verdict
+    /// chain (module docs). The incremental engine declines any candidate
+    /// it cannot check, and the cold solve then owns the answer, so
+    /// verdicts and errors are identical under every strategy.
     ///
     /// # Errors
     ///
@@ -609,93 +689,48 @@ impl Oracle {
         spec: &Spec,
         key: Option<Fingerprint>,
     ) -> Result<bool, AnalyzerError> {
-        fn all_match(outcomes: &[CommandOutcome]) -> bool {
-            outcomes.iter().all(CommandOutcome::matches_expectation)
+        if !self.enabled {
+            return self
+                .execute_all_with(spec, None)
+                .map(|outcomes| all_match(&outcomes));
         }
-        if !self.incremental_enabled() {
-            if self.enabled {
-                let key = key.unwrap_or_else(|| Oracle::fingerprint(spec));
-                // A memoized full answer trumps the persisted verdict line
-                // (it may be a cached error); only probe disk without one.
-                let has_full = self
-                    .shard_of(key)
-                    .lock()
-                    .entries
-                    .get(&key)
-                    .is_some_and(|e| e.execute_all.is_some());
-                if !has_full {
-                    let span =
-                        specrepair_trace::span("oracle.satisfies_persist", Phase::OracleCache);
-                    if let Some(verdict) = self.persist_probe(key, &span) {
-                        return Ok(verdict);
-                    }
-                }
-                let verdict = all_match(&self.execute_all_with(spec, Some(key))?);
-                self.persist_record(key, verdict);
-                return Ok(verdict);
+        let span = specrepair_trace::span("oracle.satisfies_oracle", Phase::OracleCache);
+        let key = key.unwrap_or_else(|| Oracle::fingerprint(spec));
+        // Memo → tier → singleflight: a waiter woken by its leader loops
+        // back to the lookup and hits the freshly memoized answer.
+        let mut waited = false;
+        let _flight = loop {
+            if let Some(answer) = self.lookup_verdict(key, waited, &span) {
+                return answer;
             }
-            return Ok(all_match(&self.execute_all_with(spec, key)?));
-        }
-        let span = specrepair_trace::span("oracle.satisfies_incremental", Phase::OracleCache);
-        let key = if self.enabled {
-            Some(key.unwrap_or_else(|| Oracle::fingerprint(spec)))
-        } else {
-            None
-        };
-        // Probe → persist tier → singleflight: a waiter woken by its leader
-        // loops back to the probe and hits the freshly memoized answer.
-        let _flight = if let Some(key) = key {
-            loop {
-                // Probe `execute_all` first: a full answer (including a
-                // cached error) always trumps the verdict-only line.
-                let cached = self.shard_of(key).lock().entries.get(&key).and_then(|e| {
-                    if let Some(m) = &e.execute_all {
-                        let verdict = match &m.value {
-                            Ok(outcomes) => Ok(all_match(outcomes)),
-                            Err(err) => Err(err.clone()),
-                        };
-                        Some((verdict, m.solver))
-                    } else {
-                        e.verdict.as_ref().map(|m| (Ok(m.value), m.solver))
-                    }
-                });
-                if let Some((value, solver)) = cached {
-                    tag_query(&span, true, &solver);
-                    return self.hit(value);
-                }
-                if let Some(verdict) = self.persist_probe(key, &span) {
-                    return Ok(verdict);
-                }
-                match self.flight_join(key, FLIGHT_VERDICT) {
-                    Some(guard) => break Some(guard),
-                    None => continue,
-                }
+            match self.flight_join(key, FLIGHT_VERDICT) {
+                Some(guard) => break guard,
+                None => waited = true,
             }
-        } else {
-            None
         };
-        let (computed, solver) = sat_stats::collect(|| self.engine.satisfies_oracle(spec));
-        let Some(verdict) = computed else {
-            // The engine declined; the cold path owns the answer (and the
-            // caching, counters and spans that come with it).
-            let verdict = all_match(&self.execute_all_with(spec, key)?);
-            if let Some(key) = key {
-                self.persist_record(key, verdict);
-            }
-            return Ok(verdict);
-        };
-        tag_query(&span, false, &solver);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.solver_invocations.fetch_add(1, Ordering::Relaxed);
-        if let Some(key) = key {
+        // The leader solves, memoizes, and writes the verdict through.
+        self.dedup_misses.fetch_add(1, Ordering::Relaxed);
+        let incremental = self
+            .engine
+            .as_ref()
+            .map(|engine| sat_stats::collect(|| engine.satisfies_oracle(spec)));
+        let verdict = if let Some((Some(verdict), solver)) = incremental {
+            tag_query(&span, false, &solver);
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.solver_invocations.fetch_add(1, Ordering::Relaxed);
             self.memoize(self.shard_of(key), key, |e| {
                 e.verdict = Some(Memo {
                     value: verdict,
                     solver,
                 });
             });
-            self.persist_record(key, verdict);
-        }
+            verdict
+        } else {
+            // Cold, or the engine declined: the memoized full answer owns
+            // the verdict (and its errors, counters and spans).
+            all_match(&self.execute_all_with(spec, Some(key))?)
+        };
+        self.persist_record(key, verdict);
         Ok(verdict)
     }
 
@@ -969,9 +1004,7 @@ mod tests {
         for src in [GOOD, BAD] {
             let spec = parse_spec(src).unwrap();
             let incremental = Oracle::new();
-            assert!(incremental.incremental_enabled());
-            let cold = Oracle::new();
-            cold.disable_incremental();
+            let cold = Oracle::cold();
             assert_eq!(
                 incremental.satisfies_oracle(&spec).unwrap(),
                 cold.satisfies_oracle(&spec).unwrap()
@@ -994,6 +1027,12 @@ mod tests {
         assert_eq!(after.hits, 1);
         assert_eq!(after.misses, 1);
         assert_eq!(after.solver_invocations, 1);
+        let dedup = oracle.dedup_stats();
+        assert_eq!(
+            (dedup.hits, dedup.misses),
+            (1, 1),
+            "counted once, in the chain"
+        );
     }
 
     #[test]
@@ -1018,6 +1057,9 @@ mod tests {
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.solver_invocations, 2);
+        // The reference arm bypasses the verdict chain and the engine.
+        assert_eq!(oracle.dedup_stats(), DedupStats::default());
+        assert_eq!(oracle.incremental_stats().checks, 0);
     }
 
     #[test]
@@ -1109,6 +1151,26 @@ mod tests {
         assert_eq!(total.collapsed, 5);
     }
 
+    #[test]
+    fn dedup_stats_absorb_and_rate() {
+        let mut total = DedupStats::default();
+        assert_eq!(total.dedup_rate(), 0.0);
+        total.absorb(&DedupStats {
+            hits: 3,
+            misses: 1,
+            coalesced: 1,
+        });
+        total.absorb(&DedupStats {
+            hits: 1,
+            misses: 3,
+            coalesced: 0,
+        });
+        assert_eq!(total.hits, 4);
+        assert_eq!(total.misses, 4);
+        assert_eq!(total.coalesced, 1);
+        assert_eq!(total.dedup_rate(), 0.5);
+    }
+
     /// A toy in-memory [`VerdictStore`] for unit tests.
     #[derive(Default)]
     struct MapStore {
@@ -1152,6 +1214,9 @@ mod tests {
         assert!(second.satisfies_oracle(&spec).unwrap());
         assert_eq!(store.lookups.load(Ordering::Relaxed), lookups);
         assert_eq!(second.stats().hits, 2);
+        // Both answers came without a solve of this process's own.
+        let dedup = second.dedup_stats();
+        assert_eq!((dedup.hits, dedup.misses, dedup.coalesced), (2, 0, 0));
     }
 
     #[test]
@@ -1170,14 +1235,12 @@ mod tests {
     #[test]
     fn persist_tier_serves_the_cold_path_too() {
         let store = Arc::new(MapStore::default());
-        let first = Oracle::new();
-        first.disable_incremental();
+        let first = Oracle::cold();
         first.attach_persist(store.clone());
         let spec = parse_spec(GOOD).unwrap();
         assert!(first.satisfies_oracle(&spec).unwrap());
         assert_eq!(store.records.load(Ordering::Relaxed), 1);
-        let second = Oracle::new();
-        second.disable_incremental();
+        let second = Oracle::cold();
         second.attach_persist(store);
         assert!(second.satisfies_oracle(&spec).unwrap());
         let stats = second.stats();
@@ -1218,6 +1281,29 @@ mod tests {
             (stats.collapsed as usize) < THREADS,
             "collapsed bounded by the waiter count"
         );
+    }
+
+    #[test]
+    fn dropped_inflight_guard_releases_the_slot() {
+        // A leader that unwinds without memoizing drops its flight guard:
+        // the waiting query finds no answer, leads, and solves itself.
+        let oracle = Oracle::new();
+        let spec = parse_spec(GOOD).unwrap();
+        let leader = oracle
+            .flight_join(Oracle::fingerprint(&spec), FLIGHT_VERDICT)
+            .expect("the first query in leads");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| oracle.satisfies_oracle(&spec).unwrap());
+            // `collapsed` moves once the waiter has found the flight taken.
+            while oracle.stats().collapsed == 0 {
+                std::thread::yield_now();
+            }
+            drop(leader);
+            assert!(waiter.join().unwrap());
+        });
+        assert_eq!(oracle.stats().solver_invocations, 1, "the waiter solved");
+        let dedup = oracle.dedup_stats();
+        assert_eq!((dedup.hits, dedup.misses, dedup.coalesced), (0, 1, 0));
     }
 
     #[test]
@@ -1282,7 +1368,7 @@ mod tests {
         specrepair_trace::set_enabled(false);
         let spans: Vec<_> = specrepair_trace::take_spans()
             .into_iter()
-            .filter(|s| s.cell == CELL && s.name == "oracle.satisfies_incremental")
+            .filter(|s| s.cell == CELL && s.name == "oracle.satisfies_oracle")
             .collect();
         assert_eq!(spans.len(), 2, "one miss, one hit");
 

@@ -56,7 +56,7 @@ fn fixture() -> Vec<Spec> {
 }
 
 /// Validates every candidate cold: a fresh analyzer (translator + solver)
-/// per candidate, the path `--no-incremental` takes.
+/// per candidate, the path [`mualloy_analyzer::Oracle::cold`] takes.
 fn run_cold(candidates: &[Spec]) -> Vec<bool> {
     candidates
         .iter()

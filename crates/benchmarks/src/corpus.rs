@@ -81,8 +81,7 @@ pub fn generate_domain(
     // then costs a lookup instead of a solve. Solve cold: corpus generation
     // is outside any study run, so its checks must not show up as
     // incremental-engine activity that no published stats account for.
-    let oracle = Oracle::new();
-    oracle.disable_incremental();
+    let oracle = Oracle::cold();
     let max_seed = (count as u64) * 50 + 64;
     let mut seed = 0u64;
     while out.len() < count && seed < max_seed {

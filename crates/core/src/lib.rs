@@ -54,7 +54,7 @@ pub use localization::{
 };
 pub use logio::{read_lines, LineLog, LoadedLines};
 pub use mualloy_analyzer::VerdictStore;
-pub use oracle::{CandidateDedup, DedupProbe, DedupStats, OracleHandle, OracleSession};
+pub use oracle::{DedupStats, OracleHandle, OracleSession};
 pub use technique::{
     oracle_accepts, preserves_oracle_surface, repair_is_valid, OutcomeReason, RepairBudget,
     RepairContext, RepairOutcome, RepairTechnique,

@@ -5,247 +5,29 @@
 //! Budget semantics: **one candidate validated = one budget unit**. A
 //! [`OracleSession`] is opened per repair attempt; techniques no longer
 //! count validations by hand — they ask the session, which charges the
-//! unit, refuses once the cap is reached, and answers from the shared
-//! memo table when the same candidate has been validated before (by any
-//! technique sharing the handle).
-//!
-//! On top of the memo table sits the cross-entrant [`CandidateDedup`]: a
-//! singleflight registry keyed by the candidate's canonical 128-bit
-//! fingerprint. When any technique (or portfolio entrant, on any thread)
-//! validates a candidate another entrant has already validated — or is
-//! validating *right now* — the session answers from the registry instead
-//! of re-entering the oracle; concurrent duplicates coalesce onto the one
-//! in-flight solve. A dedup hit still charges its budget unit, so repair
-//! outcomes are byte-identical with the dedup-off control arm.
+//! unit, refuses once the cap is reached, and otherwise asks the oracle
+//! directly. A candidate any technique sharing the handle has already
+//! validated — or is validating right now, on another thread — is answered
+//! by the oracle's verdict chain (memo, tier, or waiting on the in-flight
+//! leader) instead of a fresh solve. The unit is charged either way, so
+//! repair outcomes never depend on which layer answered.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use mualloy_analyzer::{IncrementalStats, Oracle, OracleCacheStats, VerdictStore};
 use mualloy_syntax::{Fingerprint, Spec};
-use serde::{Deserialize, Serialize};
 
 use crate::cancel::CancelToken;
 
-/// A point-in-time snapshot of the global candidate-dedup counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct DedupStats {
-    /// Validations answered from the registry (candidate already settled).
-    pub hits: u64,
-    /// Validations that were the first of their fingerprint and solved.
-    pub misses: u64,
-    /// Hits that waited for a concurrent in-flight solve of the same
-    /// candidate instead of duplicating it (a subset of `hits`).
-    pub coalesced: u64,
-}
-
-impl DedupStats {
-    /// Fraction of validations that were duplicates (0.0 when idle).
-    pub fn dedup_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Accumulates another snapshot into this one.
-    pub fn absorb(&mut self, other: &DedupStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.coalesced += other.coalesced;
-    }
-
-    /// The telemetry `candidate_dedup` section for this snapshot.
-    pub fn section(&self) -> specrepair_telemetry::DedupSection {
-        specrepair_telemetry::DedupSection {
-            hits: self.hits,
-            misses: self.misses,
-            coalesced: self.coalesced,
-            rate: self.dedup_rate(),
-        }
-    }
-}
-
-/// State of one fingerprint in the dedup registry.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    /// Some session is validating this candidate right now.
-    InFlight,
-    /// The candidate's oracle verdict has been settled.
-    Done(bool),
-}
-
-/// Cross-entrant candidate deduplication: a singleflight registry mapping
-/// canonical candidate fingerprints to settled oracle verdicts.
-///
-/// Unlike the analyzer-side memo table (which caches per *query*), this
-/// registry coalesces whole candidate validations across every technique,
-/// portfolio entrant and thread sharing one [`OracleHandle`] — including
-/// concurrent ones: the second validator of an in-flight candidate blocks
-/// until the first settles it, rather than solving the same spec twice.
-#[derive(Debug)]
-pub struct CandidateDedup {
-    enabled: bool,
-    table: Mutex<HashMap<Fingerprint, Slot>>,
-    settled: Condvar,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-}
-
-impl Default for CandidateDedup {
-    fn default() -> Self {
-        CandidateDedup::new()
-    }
-}
-
-impl CandidateDedup {
-    /// A fresh, enabled registry.
-    pub fn new() -> CandidateDedup {
-        CandidateDedup::with_enabled(true)
-    }
-
-    /// A disabled registry: every probe reports [`DedupProbe::Bypass`] and
-    /// nothing is recorded. The control arm of the dedup-on/off
-    /// byte-identity gate.
-    pub fn disabled() -> CandidateDedup {
-        CandidateDedup::with_enabled(false)
-    }
-
-    fn with_enabled(enabled: bool) -> CandidateDedup {
-        CandidateDedup {
-            enabled,
-            table: Mutex::new(HashMap::new()),
-            settled: Condvar::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether deduplication is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Snapshot of the hit/miss/coalesce counters.
-    pub fn stats(&self) -> DedupStats {
-        DedupStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of distinct candidate fingerprints seen so far.
-    pub fn unique_candidates(&self) -> usize {
-        self.lock_table().len()
-    }
-
-    /// Poison-safe table lock: a panicking validator must not wedge every
-    /// other entrant (its in-flight slot is released by [`InflightGuard`]).
-    fn lock_table(&self) -> MutexGuard<'_, HashMap<Fingerprint, Slot>> {
-        self.table.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Probes the registry for `key`, registering this caller as the
-    /// in-flight validator on a miss. Blocks while another caller is
-    /// validating the same fingerprint.
-    pub fn begin(&self, key: Fingerprint) -> DedupProbe<'_> {
-        if !self.enabled {
-            return DedupProbe::Bypass;
-        }
-        let mut table = self.lock_table();
-        let mut waited = false;
-        loop {
-            match table.get(&key) {
-                Some(Slot::Done(verdict)) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    if waited {
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return DedupProbe::Hit(*verdict);
-                }
-                Some(Slot::InFlight) => {
-                    waited = true;
-                    table = self.settled.wait(table).unwrap_or_else(|p| p.into_inner());
-                }
-                None => {
-                    table.insert(key, Slot::InFlight);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return DedupProbe::Miss(InflightGuard {
-                        dedup: self,
-                        key,
-                        settled: false,
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Outcome of a [`CandidateDedup::begin`] probe.
-#[derive(Debug)]
-pub enum DedupProbe<'a> {
-    /// Deduplication is disabled; validate without recording anything.
-    Bypass,
-    /// The candidate is already settled with this verdict.
-    Hit(bool),
-    /// First validator of this candidate: solve, then
-    /// [`InflightGuard::settle`] the verdict for everyone else.
-    Miss(InflightGuard<'a>),
-}
-
-/// Registration of an in-flight validation. Dropping the guard without
-/// settling (the validator panicked or unwound early) releases the slot so
-/// a waiting entrant takes over instead of hanging forever.
-#[derive(Debug)]
-pub struct InflightGuard<'a> {
-    dedup: &'a CandidateDedup,
-    key: Fingerprint,
-    settled: bool,
-}
-
-impl InflightGuard<'_> {
-    /// Publishes the verdict and wakes every coalesced waiter.
-    pub fn settle(mut self, verdict: bool) {
-        self.dedup
-            .lock_table()
-            .insert(self.key, Slot::Done(verdict));
-        self.settled = true;
-        self.dedup.settled.notify_all();
-    }
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        if !self.settled {
-            self.dedup.lock_table().remove(&self.key);
-            self.dedup.settled.notify_all();
-        }
-    }
-}
+pub use mualloy_analyzer::DedupStats;
 
 /// A cheap, cloneable handle to a shared [`Oracle`] service.
 ///
 /// Cloning the handle shares the underlying memo table; a fresh handle
 /// ([`OracleHandle::fresh`]) starts an independent one.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct OracleHandle {
     service: Arc<Oracle>,
-    dedup: Arc<CandidateDedup>,
-}
-
-impl std::fmt::Debug for OracleHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OracleHandle")
-            .field("service", &*self.service)
-            .field("dedup", &self.dedup.stats())
-            .finish()
-    }
 }
 
 impl Default for OracleHandle {
@@ -255,22 +37,19 @@ impl Default for OracleHandle {
 }
 
 impl OracleHandle {
-    /// A handle to a fresh memoizing oracle with global candidate
-    /// deduplication enabled.
+    /// A handle to a fresh memoizing oracle.
     pub fn fresh() -> OracleHandle {
         OracleHandle {
             service: Arc::new(Oracle::new()),
-            dedup: Arc::new(CandidateDedup::new()),
         }
     }
 
-    /// A handle to a pass-through (non-caching) oracle — the control arm
-    /// of the cache-on/cache-off equivalence gate. Candidate dedup is off
-    /// too: the control arm measures the un-deduplicated baseline.
+    /// A handle to the reference-arm oracle ([`Oracle::disabled`]: no
+    /// memo, singleflight, tier or engine) — the control arm of the
+    /// cache-on/cache-off equivalence gate.
     pub fn disabled() -> OracleHandle {
         OracleHandle {
             service: Arc::new(Oracle::disabled()),
-            dedup: Arc::new(CandidateDedup::disabled()),
         }
     }
 
@@ -280,34 +59,7 @@ impl OracleHandle {
     pub fn bounded(per_shard: usize) -> OracleHandle {
         OracleHandle {
             service: Arc::new(Oracle::bounded(per_shard)),
-            dedup: Arc::new(CandidateDedup::new()),
         }
-    }
-
-    /// Wraps an existing shared service (dedup enabled).
-    pub fn shared(service: Arc<Oracle>) -> OracleHandle {
-        OracleHandle {
-            service,
-            dedup: Arc::new(CandidateDedup::new()),
-        }
-    }
-
-    /// Turns global candidate deduplication off on this handle (builder
-    /// style) — the control arm of the dedup-on/off byte-identity gate.
-    /// The memo table is untouched; only the cross-entrant registry is
-    /// bypassed.
-    pub fn without_dedup(mut self) -> OracleHandle {
-        self.dedup = Arc::new(CandidateDedup::disabled());
-        self
-    }
-
-    /// Turns the incremental oracle engine off on this handle's service
-    /// (builder style) — the `--no-incremental` escape hatch and the
-    /// control arm of the incremental-on/off byte-identity gate. Every
-    /// verdict query solves cold, exactly as before the engine existed.
-    pub fn without_incremental(self) -> OracleHandle {
-        self.service.disable_incremental();
-        self
     }
 
     /// Attaches a persistent verdict tier to this handle's service
@@ -325,19 +77,14 @@ impl OracleHandle {
         &self.service
     }
 
-    /// The cross-entrant candidate-dedup registry this handle shares.
-    pub fn dedup(&self) -> &CandidateDedup {
-        &self.dedup
-    }
-
     /// Snapshot of the service's cache counters.
     pub fn stats(&self) -> OracleCacheStats {
         self.service.stats()
     }
 
-    /// Snapshot of the global candidate-dedup counters.
+    /// Snapshot of the service's verdict-chain counters.
     pub fn dedup_stats(&self) -> DedupStats {
-        self.dedup.stats()
+        self.service.dedup_stats()
     }
 
     /// Snapshot of the service's incremental-engine counters.
@@ -349,7 +96,6 @@ impl OracleHandle {
     pub fn session(&self, max_candidates: usize) -> OracleSession<'_> {
         OracleSession {
             oracle: &self.service,
-            dedup: &self.dedup,
             cap: Some(max_candidates),
             validated: 0,
             cancel: CancelToken::none(),
@@ -362,7 +108,6 @@ impl OracleHandle {
     pub fn unmetered_session(&self) -> OracleSession<'_> {
         OracleSession {
             oracle: &self.service,
-            dedup: &self.dedup,
             cap: None,
             validated: 0,
             cancel: CancelToken::none(),
@@ -375,7 +120,6 @@ impl OracleHandle {
 #[derive(Debug)]
 pub struct OracleSession<'a> {
     oracle: &'a Oracle,
-    dedup: &'a CandidateDedup,
     cap: Option<usize>,
     validated: usize,
     cancel: CancelToken,
@@ -412,11 +156,10 @@ impl<'a> OracleSession<'a> {
     /// its own command oracle. Returns `None` — charging nothing and not
     /// solving — once the budget is exhausted or the attempt cancelled.
     ///
-    /// The validation first probes the handle's global [`CandidateDedup`]:
-    /// a candidate any entrant has already settled (or is settling right
-    /// now, on another thread) is answered from the registry without
-    /// re-entering the oracle. The budget unit is charged either way, so
-    /// outcomes are byte-identical with dedup off.
+    /// A candidate any entrant has already validated (or is validating
+    /// right now, on another thread) is answered by the oracle's verdict
+    /// chain without a solve of its own. The budget unit is charged either
+    /// way.
     ///
     /// An oracle *error* counts the candidate as explored-but-invalid: the
     /// unit is charged, `Some(false)` is returned, and the error is tallied
@@ -444,26 +187,12 @@ impl<'a> OracleSession<'a> {
             specrepair_trace::Phase::Orchestration,
         );
         let key = key.unwrap_or_else(|| Oracle::fingerprint(candidate));
-        let (verdict, dedup_hit) = match self.dedup.begin(key) {
-            DedupProbe::Hit(verdict) => (verdict, true),
-            DedupProbe::Miss(guard) => {
-                let verdict = self
-                    .oracle
-                    .satisfies_oracle_keyed(candidate, key)
-                    .unwrap_or(false);
-                guard.settle(verdict);
-                (verdict, false)
-            }
-            DedupProbe::Bypass => (
-                self.oracle
-                    .satisfies_oracle_keyed(candidate, key)
-                    .unwrap_or(false),
-                false,
-            ),
-        };
+        let verdict = self
+            .oracle
+            .satisfies_oracle_keyed(candidate, key)
+            .unwrap_or(false);
         if span.is_active() {
             span.attr_bool("valid", verdict);
-            span.attr_bool("dedup_hit", dedup_hit);
             span.attr_u64("validated", self.validated as u64);
         }
         Some(verdict)
@@ -474,6 +203,8 @@ impl<'a> OracleSession<'a> {
 mod tests {
     use super::*;
     use mualloy_syntax::parse_spec;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
 
     const GOOD: &str = "sig N { next: lone N } \
         fact { no n: N | n in n.^next } \
@@ -495,37 +226,17 @@ mod tests {
 
     #[test]
     fn sessions_share_the_handle_cache() {
-        // The dedup registry answers the duplicate before the memo table is
-        // even probed: one oracle miss total, the repeat is a dedup hit.
+        // The duplicate is answered by the shared memo table: one solve,
+        // one hit, counted once in the oracle and once in the chain.
         let handle = OracleHandle::fresh();
         let spec = parse_spec(GOOD).unwrap();
         assert_eq!(handle.session(5).validate(&spec), Some(true));
         assert_eq!(handle.session(5).validate(&spec), Some(true));
         let stats = handle.stats();
         assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 0);
-        assert_eq!(handle.dedup_stats().hits, 1);
-        // With dedup off, the duplicate falls through to the memo table,
-        // which still answers it without re-solving.
-        let handle = OracleHandle::fresh().without_dedup();
-        assert_eq!(handle.session(5).validate(&spec), Some(true));
-        assert_eq!(handle.session(5).validate(&spec), Some(true));
-        let stats = handle.stats();
-        assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
-    }
-
-    #[test]
-    fn without_incremental_solves_cold_with_identical_verdicts() {
-        let spec = parse_spec(GOOD).unwrap();
-        let incremental = OracleHandle::fresh();
-        let cold = OracleHandle::fresh().without_incremental();
-        assert_eq!(
-            incremental.session(5).validate(&spec),
-            cold.session(5).validate(&spec)
-        );
-        assert!(incremental.incremental_stats().checks > 0);
-        assert_eq!(cold.incremental_stats().checks, 0);
+        assert_eq!(stats.solver_invocations, 1);
+        assert_eq!(handle.dedup_stats().hits, 1);
     }
 
     #[test]
@@ -546,6 +257,7 @@ mod tests {
         let spec = parse_spec(GOOD).unwrap();
         assert_eq!(handle.session(1).validate(&spec), Some(true));
         assert_eq!(handle.stats().hits, 0);
+        assert_eq!(handle.dedup_stats(), DedupStats::default());
     }
 
     #[test]
@@ -556,11 +268,9 @@ mod tests {
         assert_eq!(handle.session(5).validate(&spec), Some(true));
         let stats = handle.dedup_stats();
         assert_eq!(stats.misses, 1, "first validation solves");
-        assert_eq!(stats.hits, 1, "second is a registry hit");
+        assert_eq!(stats.hits, 1, "second is answered without a solve");
         assert_eq!(stats.dedup_rate(), 0.5);
-        assert_eq!(handle.dedup().unique_candidates(), 1);
-        // The registry hit never re-entered the oracle at all.
-        assert_eq!(handle.stats().hits + handle.stats().misses, 1);
+        assert_eq!(handle.stats().solver_invocations, 1);
     }
 
     #[test]
@@ -575,19 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn without_dedup_bypasses_the_registry() {
-        let handle = OracleHandle::fresh().without_dedup();
-        assert!(!handle.dedup().is_enabled());
-        let spec = parse_spec(GOOD).unwrap();
-        assert_eq!(handle.session(5).validate(&spec), Some(true));
-        assert_eq!(handle.session(5).validate(&spec), Some(true));
-        let stats = handle.dedup_stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0));
-        // The memo table still deduplicated the solve underneath.
-        assert_eq!(handle.stats().hits, 1);
-    }
-
-    #[test]
     fn validate_keyed_agrees_with_validate() {
         let handle = OracleHandle::fresh();
         let spec = parse_spec(GOOD).unwrap();
@@ -597,68 +294,118 @@ mod tests {
         assert_eq!(handle.dedup_stats().hits, 1, "same fingerprint deduped");
     }
 
+    /// A one-shot gate: the first caller of `hold` meets the test at
+    /// `wait_until_held`, then stays until the test calls `open`; later
+    /// callers pass straight through.
+    struct Gate {
+        taken: AtomicBool,
+        arrive: Barrier,
+        release: Barrier,
+    }
+
+    impl Default for Gate {
+        fn default() -> Gate {
+            Gate {
+                taken: AtomicBool::new(false),
+                arrive: Barrier::new(2),
+                release: Barrier::new(2),
+            }
+        }
+    }
+
+    impl Gate {
+        fn hold(&self) {
+            if !self.taken.swap(true, Ordering::SeqCst) {
+                self.arrive.wait();
+                self.release.wait();
+            }
+        }
+
+        fn wait_until_held(&self) {
+            self.arrive.wait();
+        }
+
+        fn open(&self) {
+            self.release.wait();
+        }
+    }
+
+    /// A verdict tier that knows nothing and holds its first lookup and
+    /// its first write-through at gates the test opens.
+    #[derive(Default)]
+    struct GatedTier {
+        lookup: Gate,
+        record: Gate,
+    }
+
+    impl VerdictStore for GatedTier {
+        fn lookup(&self, _key: Fingerprint) -> Option<bool> {
+            self.lookup.hold();
+            None
+        }
+
+        fn record(&self, _key: Fingerprint, _verdict: bool) {
+            self.record.hold();
+        }
+    }
+
     #[test]
     fn concurrent_duplicates_coalesce_onto_one_solve() {
-        let handle = OracleHandle::fresh();
-        let dedup = handle.dedup();
-        let key = Fingerprint(0xDEAD_BEEF);
-        // First prober becomes the in-flight validator.
-        let DedupProbe::Miss(guard) = dedup.begin(key) else {
-            panic!("first probe must miss");
-        };
-        // A second prober on another thread blocks until the first settles.
-        let waiter = std::thread::spawn({
-            let handle = handle.clone();
-            move || match handle.dedup().begin(key) {
-                DedupProbe::Hit(v) => v,
-                other => panic!("waiter must coalesce into a hit: {other:?}"),
+        let tier = Arc::new(GatedTier::default());
+        let handle = OracleHandle::fresh().with_persistent(tier.clone());
+        let spec = parse_spec(GOOD).unwrap();
+        std::thread::scope(|s| {
+            // The waiter misses the memo and is held at the tier …
+            let waiter = s.spawn(|| handle.session(1).validate(&spec));
+            tier.lookup.wait_until_held();
+            // … while the leader solves and is held inside its flight.
+            let leader = s.spawn(|| handle.session(1).validate(&spec));
+            tier.record.wait_until_held();
+            tier.lookup.open();
+            // `collapsed` moves once the waiter has found the flight taken.
+            while handle.stats().collapsed == 0 {
+                std::thread::yield_now();
             }
+            tier.record.open();
+            assert_eq!(leader.join().unwrap(), Some(true));
+            assert_eq!(waiter.join().unwrap(), Some(true));
         });
-        // Give the waiter time to park on the condvar, then settle.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        guard.settle(true);
-        assert!(waiter.join().unwrap());
-        let stats = dedup.stats();
+        assert_eq!(handle.stats().solver_invocations, 1, "one solve for both");
+        let stats = handle.dedup_stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.coalesced, 1, "the hit waited for the in-flight solve");
     }
 
     #[test]
-    fn dropped_inflight_guard_releases_the_slot() {
-        let dedup = CandidateDedup::new();
-        let key = Fingerprint(42);
-        let DedupProbe::Miss(guard) = dedup.begin(key) else {
-            panic!("first probe must miss");
-        };
-        drop(guard); // validator unwound without settling
-        let DedupProbe::Miss(guard) = dedup.begin(key) else {
-            panic!("slot must be free again");
-        };
-        guard.settle(false);
-        let DedupProbe::Hit(v) = dedup.begin(key) else {
-            panic!("settled now");
-        };
-        assert!(!v);
-    }
-
-    #[test]
-    fn dedup_stats_absorb_and_rate() {
-        let mut total = DedupStats::default();
-        assert_eq!(total.dedup_rate(), 0.0);
-        total.absorb(&DedupStats {
-            hits: 3,
-            misses: 1,
-            coalesced: 1,
-        });
-        total.absorb(&DedupStats {
-            hits: 1,
-            misses: 3,
-            coalesced: 0,
-        });
-        assert_eq!(total.hits, 4);
-        assert_eq!(total.misses, 4);
-        assert_eq!(total.coalesced, 1);
-        assert_eq!(total.dedup_rate(), 0.5);
+    fn bounded_handle_resolves_evicted_candidates() {
+        // Nothing outside the capped memo table remembers a candidate: 64
+        // distinct validations keep at most one entry per shard, and an
+        // evicted candidate solves again, to the same verdict.
+        let handle = OracleHandle::bounded(1);
+        let specs: Vec<Spec> = (0..64)
+            .map(|i| {
+                parse_spec(&format!(
+                    "sig A{i} {{}} pred p {{ some A{i} }} run p for 2 expect 1"
+                ))
+                .unwrap()
+            })
+            .collect();
+        for spec in &specs {
+            assert_eq!(handle.session(1).validate(spec), Some(true));
+        }
+        assert!(handle.service().memoized_specs() <= 16);
+        let evicted = specs
+            .iter()
+            .find(|s| {
+                handle
+                    .service()
+                    .probe_verdict(Oracle::fingerprint(s))
+                    .is_none()
+            })
+            .expect("64 specs across 16 single-entry shards must evict");
+        let solves = handle.stats().solver_invocations;
+        assert_eq!(handle.session(1).validate(evicted), Some(true));
+        assert_eq!(handle.stats().solver_invocations, solves + 1, "re-solved");
     }
 }

@@ -68,7 +68,7 @@ pub struct RepairContext {
     /// candidates by single-node rewriting fingerprint them in
     /// O(path + payload) via [`RepairContext::fingerprint_edit`] instead of
     /// re-hashing the whole candidate; the fingerprint feeds the keyed
-    /// oracle queries and the global candidate dedup.
+    /// oracle queries.
     pub hasher: Arc<SpecHasher>,
 }
 
@@ -110,21 +110,6 @@ impl RepairContext {
     /// Replaces the oracle handle (to share one service across contexts).
     pub fn with_oracle(mut self, oracle: OracleHandle) -> RepairContext {
         self.oracle = oracle;
-        self
-    }
-
-    /// Turns global candidate deduplication off for this context — the
-    /// control arm of the dedup-on/off byte-identity gate.
-    pub fn without_dedup(mut self) -> RepairContext {
-        self.oracle = self.oracle.without_dedup();
-        self
-    }
-
-    /// Turns the incremental oracle engine off for this context — the
-    /// `--no-incremental` escape hatch and the control arm of the
-    /// incremental-on/off byte-identity gate.
-    pub fn without_incremental(mut self) -> RepairContext {
-        self.oracle = self.oracle.without_incremental();
         self
     }
 

@@ -66,10 +66,7 @@ pub fn run(problems: &[RepairProblem], config: &StudyConfig) -> Ablation {
     ];
     let mut incremental = IncrementalStats::default();
     for p in problems {
-        let mut oracle = OracleHandle::fresh();
-        if !config.incremental {
-            oracle = oracle.without_incremental();
-        }
+        let oracle = OracleHandle::fresh();
         let ctx = RepairContext::new(p.faulty.clone(), mr_budget)
             .with_source(&p.faulty_source)
             .with_oracle(oracle.clone())

@@ -3,9 +3,8 @@
 //! ```text
 //! study <all|table1|fig2|fig3|table2|ablation|portfolio> [--scale X]
 //!       [--seed N] [--out DIR] [--journal FILE] [--resume]
-//!       [--fault-rate R] [--fault-seed N] [--no-dedup] [--no-incremental]
-//!       [--roster NAME] [--workers N] [--trace DIR]
-//!       [--cache-dir DIR] [--no-cache] [--shards a,b,c]
+//!       [--fault-rate R] [--fault-seed N] [--roster NAME] [--workers N]
+//!       [--trace DIR] [--cache-dir DIR] [--no-cache] [--shards a,b,c]
 //! ```
 //!
 //! `--scale 1.0` evaluates the full 1,974-spec corpus (the paper's size);
@@ -109,8 +108,6 @@ fn main() {
                 ));
             }
             "--resume" => resume = true,
-            "--no-dedup" => config.dedup = false,
-            "--no-incremental" => config.incremental = false,
             "--no-cache" => use_cache = false,
             "--cache-dir" => {
                 i += 1;
@@ -270,12 +267,6 @@ fn main() {
         .unwrap_or_else(|e| die(&format!("cannot open journal {path:?}: {e}")))
     });
 
-    if !config.dedup {
-        eprintln!("candidate dedup OFF (--no-dedup)");
-    }
-    if !config.incremental {
-        eprintln!("incremental oracle OFF (--no-incremental)");
-    }
     if !use_cache {
         eprintln!("oracle cache OFF (--no-cache)");
     }
@@ -519,7 +510,8 @@ fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: study <all|table1|fig2|fig3|table2|ablation|portfolio> [--scale X] [--seed N] \
-         [--out DIR] [--roster NAME] [--workers N] [--cache-dir DIR] [--no-cache] \
+         [--out DIR] [--journal FILE] [--resume] [--fault-rate R] [--fault-seed N] \
+         [--roster NAME] [--workers N] [--trace DIR] [--cache-dir DIR] [--no-cache] \
          [--shards a,b,c]"
     );
     std::process::exit(2);

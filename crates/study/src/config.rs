@@ -168,16 +168,6 @@ pub struct StudyConfig {
     pub fault_rate: f64,
     /// Base seed for the per-cell fault schedules.
     pub fault_seed: u64,
-    /// Whether the global candidate-dedup registry is active (`--no-dedup`
-    /// turns it off — the control arm of the byte-identity gate). Like the
-    /// oracle cache, dedup is a pure performance layer: it must not change
-    /// any study result.
-    pub dedup: bool,
-    /// Whether the incremental oracle engine is active (`--no-incremental`
-    /// turns it off — the control arm of the incremental byte-identity
-    /// gate). Like the cache and dedup, incremental solving is a pure
-    /// performance layer: it must not change any study result.
-    pub incremental: bool,
 }
 
 impl Default for StudyConfig {
@@ -187,8 +177,6 @@ impl Default for StudyConfig {
             seed: 42,
             fault_rate: 0.0,
             fault_seed: 0xFA_017,
-            dedup: true,
-            incremental: true,
         }
     }
 }
@@ -222,8 +210,6 @@ impl StudyConfig {
             && self.seed == other.seed
             && self.fault_rate == other.fault_rate
             && self.fault_seed == other.fault_seed
-            && self.dedup == other.dedup
-            && self.incremental == other.incremental
     }
 
     /// The fault schedule for one (problem, technique) cell.

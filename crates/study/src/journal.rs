@@ -186,6 +186,22 @@ mod tests {
     }
 
     #[test]
+    fn header_with_retired_oracle_switches_still_resumes() {
+        // Journals written while the study config still carried the
+        // `dedup` and `incremental` oracle switches keep both keys in their
+        // header; a resume must still accept them as the same run.
+        let path = tmp("retired-keys");
+        let header = r#"{"config":{"scale":0.01,"seed":42,"fault_rate":0.0,"fault_seed":1024023,"dedup":true,"incremental":true},"num_problems":3}"#;
+        std::fs::write(&path, format!("{header}\n")).unwrap();
+        let loaded = load(&path).unwrap();
+        assert_eq!(loaded.malformed, 0);
+        let header = loaded.header.expect("header line");
+        assert_eq!(header.num_problems, 3);
+        assert!(header.config.same_run(&StudyConfig::smoke()));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn torn_tail_is_skipped_not_fatal() {
         let path = tmp("torn");
         let journal = StudyJournal::create(&path, &StudyConfig::smoke(), 1).unwrap();

@@ -120,8 +120,8 @@ pub struct PortfolioStudy {
     pub budget_spent: usize,
     /// Candidate-budget units saved by cancellation across all races.
     pub budget_saved: usize,
-    /// Candidate-dedup counters aggregated over the racing pass: entrants
-    /// of one race share the per-problem registry, so every cross-entrant
+    /// Verdict-chain counters aggregated over the racing pass: entrants of
+    /// one race share the per-problem oracle, so every cross-entrant
     /// duplicate candidate lands here as a hit (or a coalesced in-flight
     /// wait).
     pub dedup: DedupStats,

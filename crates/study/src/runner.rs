@@ -176,16 +176,16 @@ impl StudyResults {
     }
 }
 
-/// Aggregated performance-layer counters of one study run: the oracle
-/// memo table plus the global candidate-dedup registry. Both layers are
-/// required to be behaviorally inert (asserted by the `study_pipeline`
-/// byte-identity gates), so these counters are pure observability.
+/// Aggregated performance-layer counters of one study run's oracles. The
+/// oracle is required to be behaviorally inert (asserted by the
+/// `study_pipeline` byte-identity gate), so these counters are pure
+/// observability.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunStats {
     /// Oracle memo-table counters, aggregated over every per-problem
     /// oracle.
     pub cache: OracleCacheStats,
-    /// Candidate-dedup registry counters, aggregated likewise.
+    /// Verdict-chain counters (`candidate_dedup`), aggregated likewise.
     pub dedup: DedupStats,
     /// Incremental-oracle session counters, aggregated likewise.
     pub incremental: IncrementalStats,
@@ -384,13 +384,12 @@ pub fn run_study(problems: &[RepairProblem], config: &StudyConfig) -> StudyResul
 }
 
 /// [`run_study`] with explicit cache control, reporting the aggregated
-/// oracle cache and candidate-dedup statistics alongside the results.
+/// oracle statistics alongside the results.
 ///
 /// The oracle memoizes by the candidate's canonical fingerprint, so a
 /// cached run returns exactly the answers a fresh [`Oracle`] would
-/// compute: neither `use_cache` nor `config.dedup` may change
-/// `StudyResults` by a single byte (asserted by the `study_pipeline`
-/// integration tests).
+/// compute: `use_cache` may not change `StudyResults` by a single byte
+/// (asserted by the `study_pipeline` integration tests).
 pub fn run_study_cached(
     problems: &[RepairProblem],
     config: &StudyConfig,
@@ -447,12 +446,6 @@ pub fn run_study_persistent(
             } else {
                 OracleHandle::disabled()
             };
-            if !config.dedup {
-                oracle = oracle.without_dedup();
-            }
-            if !config.incremental {
-                oracle = oracle.without_incremental();
-            }
             if let Some(store) = persist {
                 oracle = oracle.with_persistent(Arc::clone(store));
             }

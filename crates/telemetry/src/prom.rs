@@ -41,10 +41,10 @@ pub fn help_text(name: &str) -> &'static str {
         "specrepair_oracle_memoized_specs" => "Memoized spec entries currently held.",
         "specrepair_oracle_persist_hits_total" => "Verdicts answered by the persistent tier.",
         "specrepair_oracle_collapsed_total" => "Queries collapsed onto an in-flight solve.",
-        "specrepair_dedup_hits_total" => "Candidate validations answered by the dedup registry.",
-        "specrepair_dedup_misses_total" => "First-of-fingerprint candidate validations.",
-        "specrepair_dedup_coalesced_total" => "Validations that waited on an in-flight solve.",
-        "specrepair_dedup_rate" => "Fraction of validations answered by the dedup registry.",
+        "specrepair_dedup_hits_total" => "Verdict queries answered without a solve of their own.",
+        "specrepair_dedup_misses_total" => "Verdict queries that solved.",
+        "specrepair_dedup_coalesced_total" => "Verdict hits that waited on an in-flight solve.",
+        "specrepair_dedup_rate" => "Fraction of verdict queries answered without a solve.",
         "specrepair_incremental_sessions_total" => "Incremental oracle sessions created.",
         "specrepair_incremental_checks_total" => "Checks answered incrementally.",
         "specrepair_incremental_fallbacks_total" => "Checks the incremental engine declined.",

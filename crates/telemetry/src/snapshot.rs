@@ -45,12 +45,13 @@ pub struct OracleCacheSection {
     pub collapsed: u64,
 }
 
-/// The `candidate_dedup` section: the cross-technique candidate registry.
+/// The `candidate_dedup` section: the oracle's verdict-chain counters.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DedupSection {
-    /// Validations answered from the registry.
+    /// Verdict queries answered without a solve of their own (memo, tier,
+    /// or waiting on the leader).
     pub hits: u64,
-    /// First-of-fingerprint validations that solved.
+    /// Verdict queries that solved.
     pub misses: u64,
     /// Hits that waited on a concurrent in-flight solve.
     pub coalesced: u64,
@@ -230,7 +231,7 @@ pub struct Snapshot {
     pub latency: Vec<(String, HistogramSnapshot)>,
     /// The shared oracle's cache counters.
     pub oracle_cache: OracleCacheSection,
-    /// The candidate-dedup registry's counters.
+    /// The oracle's verdict-chain counters.
     pub candidate_dedup: DedupSection,
     /// The incremental oracle's counters.
     pub incremental: IncrementalSection,

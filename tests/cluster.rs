@@ -5,8 +5,9 @@
 //! Covers the headline invariant (a routed `/repair` answer is
 //! byte-identical to a single-node daemon's, at any shard count), the
 //! verdict-exchange plane (PUT/GET through the router land on the owning
-//! shard and warm *other* clients, including a non-owner shard reading
-//! through its remote tier), and the failure mode (killing a shard trips
+//! shard and warm *other* clients: solved verdicts are pushed to their
+//! owners, and a shard owning neither the spec nor the candidate pulls
+//! them through its remote tier), and the failure mode (killing a shard trips
 //! the router into degraded local solves that still produce the canonical
 //! answer).
 
@@ -66,6 +67,17 @@ fn strip_duration(body: &str) -> String {
         .filter(|(k, _)| k != "duration_ms")
         .collect();
     serde_json::to_string(&serde::Value::Map(kept)).unwrap()
+}
+
+/// The final candidate's source text in a `/repair` response.
+fn candidate_of(body: &str) -> String {
+    let serde::Value::Map(map) = serde_json::from_str(body).expect("response is JSON") else {
+        panic!("response is not an object: {body}");
+    };
+    match map.into_iter().find(|(k, _)| k == "candidate") {
+        Some((_, serde::Value::Str(source))) => source,
+        other => panic!("no candidate in {body}: {other:?}"),
+    }
 }
 
 fn metric(addr: &str, pointer: &[&str]) -> f64 {
@@ -264,12 +276,10 @@ fn verdicts_warm_the_owning_shard_and_cross_client_reads() {
     let (status, body) = call(owner_addr, "GET", &format!("/verdict/{injected}"), "");
     assert_eq!(status, 200, "owner shard does not hold the verdict: {body}");
 
-    // A repair solved through the router memoizes its verdicts on the
-    // owning shard; a *non-owner* shard asked the same question afterwards
-    // answers off the cluster's remote tier instead of its own solver.
+    // A repair solved through the router runs on the spec's owner, which
+    // pushes each candidate verdict it solves to that candidate's owner.
     let spec = spec_variant("Shared");
-    let key = fingerprint(&spec);
-    let owner = ring.owner_index(key);
+    let spec_owner = ring.owner_index(fingerprint(&spec));
     let (status, body) = call(
         &cluster.router_addr,
         "POST",
@@ -277,20 +287,42 @@ fn verdicts_warm_the_owning_shard_and_cross_client_reads() {
         &repair_body(&spec, "ATR"),
     );
     assert_eq!(status, 200, "{body}");
-    let non_owner = (owner + 1) % cluster.peers.len();
-    let non_owner_addr = cluster.peers[non_owner].clone();
-    let before = metric(&non_owner_addr, &["cluster", "remote_hits"]);
-    let (status, body) = call(
-        &non_owner_addr,
-        "POST",
-        "/repair",
-        &repair_body(&spec, "ATR"),
+    let candidate = fingerprint(&candidate_of(&body));
+    let candidate_owner = ring.owner_index(candidate);
+    let (status, reply) = call(
+        &cluster.peers[candidate_owner],
+        "GET",
+        &format!("/verdict/{candidate}"),
+        "",
     );
-    assert_eq!(status, 200, "{body}");
-    let after = metric(&non_owner_addr, &["cluster", "remote_hits"]);
+    assert_eq!(status, 200, "{reply}");
     assert!(
-        after > before,
-        "non-owner shard never read the remote tier: {before} -> {after}"
+        reply.contains("\"source\":\"memo\""),
+        "candidate owner {candidate_owner} (spec owner {spec_owner}) \
+         does not hold the candidate verdict in memory: {reply}"
+    );
+
+    // A shard owning neither the spec nor the candidate, asked the same
+    // question afterwards, pulls the verdict off the cluster's remote tier
+    // instead of solving it. (A shard owning the candidate would answer
+    // from the pushed memo entry and never read the remote tier.)
+    let prober = (0..cluster.peers.len())
+        .find(|&i| i != spec_owner && i != candidate_owner)
+        .expect("three shards leave one owning neither key");
+    let prober_addr = cluster.peers[prober].clone();
+    let remote_hits = |addr: &str| metric(addr, &["cluster", "remote_hits"]);
+    let checks = |addr: &str| metric(addr, &["incremental", "incremental_checks"]);
+    let (hits_before, checks_before) = (remote_hits(&prober_addr), checks(&prober_addr));
+    let (status, body) = call(&prober_addr, "POST", "/repair", &repair_body(&spec, "ATR"));
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        remote_hits(&prober_addr) > hits_before,
+        "shard {prober} never read the remote tier"
+    );
+    assert_eq!(
+        checks(&prober_addr),
+        checks_before,
+        "shard {prober} solved a verdict the cluster already held"
     );
 
     cluster.drain();

@@ -91,10 +91,7 @@ const FAULTY: &str = "sig N { next: lone N } \
 #[test]
 fn oracle_incremental_and_cold_verdicts_agree() {
     let incremental = Oracle::new();
-    let cold = Oracle::new();
-    cold.disable_incremental();
-    assert!(incremental.incremental_enabled());
-    assert!(!cold.incremental_enabled());
+    let cold = Oracle::cold();
 
     // Candidate mutations of one faulty spec, the shape every repair
     // search produces: same skeleton, varied fact/assert/pred bodies.
@@ -130,6 +127,6 @@ fn oracle_incremental_and_cold_verdicts_agree() {
     let cold_stats = cold.incremental_stats();
     assert_eq!(
         cold_stats.checks, 0,
-        "a disabled engine must never run: {cold_stats:?}"
+        "a cold oracle must never run the engine: {cold_stats:?}"
     );
 }

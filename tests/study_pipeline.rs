@@ -1,6 +1,11 @@
 //! Integration: the full study pipeline regenerates all paper artifacts at
 //! smoke scale with internally consistent numbers.
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
+use mualloy_syntax::Fingerprint;
+use specrepair_core::VerdictStore;
 use specrepair_study::{ablation, fig2, fig3, runner, table1, table2, StudyConfig, TechniqueId};
 
 fn smoke() -> (
@@ -94,78 +99,78 @@ fn ablation_runs_on_a_subsample() {
     assert!(a.arms.iter().all(|arm| arm.repaired <= a.total_specs));
 }
 
-#[test]
-fn cached_study_is_byte_identical_to_uncached() {
-    // The shared memoizing oracle must be a pure performance layer: running
-    // the full study with the cache on and off must produce the same
-    // results to the byte, while the cached run actually hits the cache.
-    let problems = specrepair_benchmarks::full_study(0.003);
-    let config = StudyConfig {
-        scale: 0.003,
-        seed: 17,
-        ..StudyConfig::default()
-    };
-    let (cached, stats_on) = runner::run_study_cached(&problems, &config, true);
-    let (uncached, stats_off) = runner::run_study_cached(&problems, &config, false);
-    assert_eq!(
-        serde_json::to_string(&cached).unwrap(),
-        serde_json::to_string(&uncached).unwrap(),
-        "oracle caching changed study results"
-    );
-    let (stats_on, stats_off) = (stats_on.cache, stats_off.cache);
-    assert!(stats_on.hits > 0, "cached run never hit the memo table");
-    assert!(stats_on.hit_rate() > 0.0);
-    assert_eq!(stats_off.hits, 0, "disabled cache must never report hits");
-    assert!(
-        stats_on.solver_invocations < stats_off.solver_invocations,
-        "caching should save solver invocations ({} vs {})",
-        stats_on.solver_invocations,
-        stats_off.solver_invocations
-    );
+/// An in-memory verdict tier shared by every per-problem oracle of a run.
+#[derive(Default)]
+struct MapTier(Mutex<HashMap<Fingerprint, bool>>);
+
+impl VerdictStore for MapTier {
+    fn lookup(&self, key: Fingerprint) -> Option<bool> {
+        self.0.lock().unwrap().get(&key).copied()
+    }
+
+    fn record(&self, key: Fingerprint, verdict: bool) {
+        self.0.lock().unwrap().insert(key, verdict);
+    }
 }
 
 #[test]
-fn dedup_study_is_byte_identical_to_no_dedup() {
-    // The global candidate-dedup registry must be a pure performance
-    // layer, exactly like the oracle cache: running the study with dedup
-    // on and off must produce byte-identical results, while the dedup-on
-    // run actually absorbs duplicate candidates.
+fn cached_study_is_byte_identical_to_uncached() {
+    // The oracle must be a pure performance layer: the default oracle
+    // (memo, singleflight, incremental solving) and the same run served
+    // by a verdict tier must produce the results of the disabled
+    // reference arm to the byte, while each layer actually answers.
     let problems = specrepair_benchmarks::full_study(0.003);
     let config = StudyConfig {
         scale: 0.003,
         seed: 17,
         ..StudyConfig::default()
     };
-    assert!(config.dedup, "dedup must default on");
-    let control = StudyConfig {
-        dedup: false,
-        ..config
-    };
-    let (with_dedup, stats_on) = runner::run_study_cached(&problems, &config, true);
-    let (without, stats_off) = runner::run_study_cached(&problems, &control, true);
+    let json = |results: &runner::StudyResults| serde_json::to_string(results).unwrap();
+    let (reference, stats_off) = runner::run_study_cached(&problems, &config, false);
+    let (cached, stats_on) = runner::run_study_cached(&problems, &config, true);
     assert_eq!(
-        serde_json::to_string(&with_dedup).unwrap(),
-        serde_json::to_string(&without).unwrap(),
-        "candidate dedup changed study results"
+        json(&cached),
+        json(&reference),
+        "oracle caching changed study results"
     );
+    let (cache_on, cache_off) = (stats_on.cache, stats_off.cache);
+    assert!(cache_on.hits > 0, "cached run never hit the memo table");
+    assert!(cache_on.hit_rate() > 0.0);
     assert!(
         stats_on.dedup.hits > 0,
-        "dedup-on run never absorbed a duplicate candidate"
+        "no verdict was answered without a solve"
     );
-    assert!(stats_on.dedup.dedup_rate() > 0.0);
-    assert_eq!(
-        stats_off.dedup.hits + stats_off.dedup.misses,
-        0,
-        "disabled dedup must never count validations"
-    );
-    // Deduped validations skip the oracle entirely, so the dedup-on run
-    // issues strictly fewer oracle queries.
     assert!(
-        stats_on.cache.hits + stats_on.cache.misses < stats_off.cache.hits + stats_off.cache.misses,
-        "dedup should shed oracle queries ({} vs {})",
-        stats_on.cache.hits + stats_on.cache.misses,
-        stats_off.cache.hits + stats_off.cache.misses
+        stats_on.incremental.checks > 0,
+        "no verdict solved incrementally"
     );
+    assert_eq!(cache_off.hits, 0, "disabled cache must never report hits");
+    assert_eq!(
+        stats_off.incremental.checks, 0,
+        "the reference arm has no engine"
+    );
+    assert!(
+        cache_on.solver_invocations < cache_off.solver_invocations,
+        "caching should save solver invocations ({} vs {})",
+        cache_on.solver_invocations,
+        cache_off.solver_invocations
+    );
+
+    // A first run fills the shared tier; a second run is served by it.
+    let tier: Arc<dyn VerdictStore> = Arc::new(MapTier::default());
+    let done = HashMap::new();
+    for pass in ["filling", "served"] {
+        let (tiered, stats) =
+            runner::run_study_persistent(&problems, &config, true, None, &done, Some(&tier));
+        assert_eq!(
+            json(&tiered),
+            json(&reference),
+            "the {pass} verdict tier changed study results"
+        );
+        if pass == "served" {
+            assert!(stats.cache.persist_hits > 0, "the tier served no verdict");
+        }
+    }
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Integration: tracing a smoke-scale study produces parseable exporter
 //! artifacts whose per-phase attribution reconciles with the cells'
-//! wall-clock, and whose root span ids are the deterministic function of
-//! the cell seed that `--resume` comparisons rely on.
+//! wall-clock, whose root span ids are the deterministic function of the
+//! cell seed that `--resume` comparisons rely on, and whose incremental
+//! checks reconcile exactly with the run's statistics.
 //!
 //! This binary holds a single test: the span collector is process-global,
 //! so a second concurrently-running test would interleave spans.
@@ -20,7 +21,10 @@ fn traced_study_exports_parse_and_reconcile() {
         seed: 7,
         ..StudyConfig::default()
     };
-    let (problems, results) = runner::run_full_study(&config);
+    // Corpus generation runs traced too: its oracle solves cold, so every
+    // `sat.incremental_check` span below belongs to the study run.
+    let problems = specrepair_benchmarks::full_study(config.scale);
+    let (results, stats) = runner::run_study_cached(&problems, &config, true);
     trace::set_enabled(false);
     let spans = trace::take_spans();
     assert_eq!(results.records.len(), problems.len() * 12);
@@ -41,6 +45,26 @@ fn traced_study_exports_parse_and_reconcile() {
             );
         }
     }
+
+    // Every incremental check is one span, and the run's statistics count
+    // every engine the run used: the two must agree exactly.
+    let checks = spans
+        .iter()
+        .filter(|s| s.name == "sat.incremental_check")
+        .count() as u64;
+    assert!(
+        stats.incremental.checks > 0,
+        "no incremental checks: {stats:?}"
+    );
+    assert!(stats.incremental.clause_reuse_rate() > 0.0, "{stats:?}");
+    assert_eq!(
+        checks, stats.incremental.checks,
+        "`sat.incremental_check` spans vs counted checks"
+    );
+    assert!(
+        stats.dedup.hits > 0,
+        "no verdict was answered without a solve: {stats:?}"
+    );
 
     // The span taxonomy reaches every layer: solver, oracle, technique.
     let names: HashSet<&str> = spans.iter().map(|s| s.name).collect();

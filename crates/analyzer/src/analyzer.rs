@@ -4,11 +4,15 @@
 //! (assertion validity, predicate satisfiability, counterexample generation,
 //! instance enumeration) goes through this type.
 
+use std::collections::HashMap;
+use std::fmt;
+
 use mualloy_relational::{
     assert_body, elaborate_formula, pred_as_existential, Evaluator, Instance, Translator,
 };
 use mualloy_sat::{SolveResult, Solver};
 use mualloy_syntax::ast::*;
+use parking_lot::Mutex;
 
 use crate::error::AnalyzerError;
 
@@ -35,6 +39,12 @@ impl CommandOutcome {
 
 /// Bounded analyzer over a parsed specification.
 ///
+/// The commands an analyzer runs at one scope share one base translation
+/// (universe, relation matrices, declarations and facts), built by the
+/// first of them. Each command compiles its formula on top of the base and
+/// truncates the circuit back afterwards, so every outcome is the one a
+/// fresh translation would give.
+///
 /// # Example
 ///
 /// ```
@@ -54,15 +64,35 @@ impl CommandOutcome {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
 pub struct Analyzer {
     spec: Spec,
+    /// Base translations (declarations and facts) by scope, each built by
+    /// the first command at its scope and reused by the later ones.
+    bases: Mutex<HashMap<u32, Translator>>,
+}
+
+impl Clone for Analyzer {
+    /// A clone copies the specification but starts with no translations.
+    fn clone(&self) -> Analyzer {
+        Analyzer::new(self.spec.clone())
+    }
+}
+
+impl fmt::Debug for Analyzer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Analyzer")
+            .field("spec", &self.spec)
+            .finish()
+    }
 }
 
 impl Analyzer {
     /// Creates an analyzer for the given specification.
     pub fn new(spec: Spec) -> Analyzer {
-        Analyzer { spec }
+        Analyzer {
+            spec,
+            bases: Mutex::new(HashMap::new()),
+        }
     }
 
     /// Parses source text and creates an analyzer.
@@ -111,10 +141,39 @@ impl Analyzer {
         limit: usize,
     ) -> Result<Vec<Instance>, AnalyzerError> {
         // Translation + encoding + the solve loop all count as SAT time in
-        // the phase breakdown; the per-solve `sat.solve` child spans nest
-        // inside with their counter deltas.
+        // the phase breakdown: the scope's base translation when this is
+        // the first call at the scope, and on every call the formula's
+        // compilation on top of it. The per-solve `sat.solve` child spans
+        // nest inside with their counter deltas.
         let span = specrepair_trace::span("analyzer.enumerate", specrepair_trace::Phase::Sat);
-        let mut tr = Translator::new(&self.spec, scope)?;
+        // The base leaves the table for the call, so concurrent calls at
+        // one scope build their own instead of waiting; a failed build is
+        // never stored, and the next call at the scope retries it.
+        let cached = self.bases.lock().remove(&scope);
+        let mut tr = match cached {
+            Some(tr) => tr,
+            None => Translator::new(&self.spec, scope)?,
+        };
+        // Truncating to the mark restores the circuit — node numbering and
+        // hash-cons table — that `Translator::new` left, so every call
+        // compiles and encodes exactly as on a fresh translation.
+        let mark = tr.circuit.mark();
+        let out = Self::solve_on(&mut tr, formula, scope, limit, &span);
+        tr.circuit.truncate(mark);
+        self.bases.lock().insert(scope, tr);
+        out
+    }
+
+    /// Compiles `formula` on top of the base translation `tr`, encodes
+    /// base ∧ formula into a fresh solver and enumerates up to `limit`
+    /// instances.
+    fn solve_on(
+        tr: &mut Translator,
+        formula: &Formula,
+        scope: u32,
+        limit: usize,
+        span: &specrepair_trace::SpanGuard,
+    ) -> Result<Vec<Instance>, AnalyzerError> {
         let f = elaborate_formula(tr.spec(), formula)?;
         let fv = tr.compile_formula(&f)?;
         let root = tr.circuit.and(tr.base_constraint(), fv);
@@ -390,6 +449,42 @@ mod tests {
         assert!(a
             .evaluate(&inst, &parse_formula("no n: N | n in n.^next").unwrap())
             .unwrap());
+    }
+
+    #[test]
+    fn one_base_per_scope_and_clones_start_without_one() {
+        let a = analyzer();
+        a.execute_all().unwrap();
+        a.run_pred("somePath", 2).unwrap();
+        a.run_pred("somePath", 3).unwrap();
+        let bases = a.bases.lock();
+        let mut scopes: Vec<u32> = bases.keys().copied().collect();
+        scopes.sort_unstable();
+        assert_eq!(scopes, [2, 3]);
+        // Every command truncated back: each base is a fresh translation.
+        for (&scope, base) in bases.iter() {
+            let fresh = Translator::new(a.spec(), scope).unwrap();
+            assert_eq!(base.circuit.mark(), fresh.circuit.mark(), "scope {scope}");
+        }
+        assert!(a.clone().bases.lock().is_empty());
+    }
+
+    #[test]
+    fn a_failed_base_is_not_kept() {
+        let a = Analyzer::new(
+            parse_spec("sig N { next: set N } fact { N in next } pred p { some N } run p for 2")
+                .unwrap(),
+        );
+        let first = a.run_pred("p", 2).unwrap_err();
+        assert!(matches!(first, AnalyzerError::Translate(_)));
+        assert!(a.bases.lock().is_empty());
+        assert_eq!(a.run_pred("p", 2).unwrap_err(), first);
+    }
+
+    #[test]
+    fn analyzers_stay_shareable() {
+        fn shareable<T: Clone + Send + Sync>() {}
+        shareable::<Analyzer>();
     }
 
     #[test]

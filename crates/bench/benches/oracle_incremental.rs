@@ -2,7 +2,8 @@
 //! candidate mutations of one faulty spec through a persistent
 //! [`IncrementalEngine`] (one translator + one solver per skeleton,
 //! activation-guarded checks, learnt clauses retained) vs the cold path (a
-//! fresh [`Analyzer`] — translator, encoding and solver — per candidate).
+//! fresh [`Analyzer`] per candidate: one translation per scope, and a
+//! fresh encoding and solver per command).
 //!
 //! Prints the measured cold-vs-incremental speedup before the criterion
 //! groups run; the CI microbench step greps for that line as the
@@ -55,8 +56,8 @@ fn fixture() -> Vec<Spec> {
     candidates
 }
 
-/// Validates every candidate cold: a fresh analyzer (translator + solver)
-/// per candidate, the path [`mualloy_analyzer::Oracle::cold`] takes.
+/// Validates every candidate cold: a fresh analyzer per candidate, the
+/// path [`mualloy_analyzer::Oracle::cold`] takes.
 fn run_cold(candidates: &[Spec]) -> Vec<bool> {
     candidates
         .iter()

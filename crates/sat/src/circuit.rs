@@ -47,6 +47,14 @@ enum Node {
     Or(Vec<BoolRef>),
 }
 
+/// A point in a [`Circuit`]'s growth, taken by [`Circuit::mark`] and
+/// returned to by [`Circuit::truncate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CircuitMark {
+    nodes: usize,
+    inputs: u32,
+}
+
 /// A boolean circuit builder with structural sharing.
 ///
 /// # Example
@@ -92,6 +100,39 @@ impl Circuit {
     /// Number of nodes (gates + inputs + the constant).
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Marks the circuit's current extent, for a later
+    /// [`Circuit::truncate`].
+    pub fn mark(&self) -> CircuitMark {
+        CircuitMark {
+            nodes: self.nodes.len(),
+            inputs: self.num_inputs,
+        }
+    }
+
+    /// Drops the nodes, hash-cons entries and inputs added since `mark`.
+    ///
+    /// The circuit is then the one it was at the mark: the next input or
+    /// new gate gets the reference it would have got then, so gates built
+    /// after truncating — and their Tseitin encoding — match those of a
+    /// circuit that never grew past the mark. References handed out since
+    /// the mark dangle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit is already smaller than at `mark`.
+    pub fn truncate(&mut self, mark: CircuitMark) {
+        assert!(
+            mark.nodes <= self.nodes.len() && mark.inputs <= self.num_inputs,
+            "circuit truncated past the mark"
+        );
+        for node in self.nodes.drain(mark.nodes..) {
+            if matches!(node, Node::And(_) | Node::Or(_)) {
+                self.dedup.remove(&node);
+            }
+        }
+        self.num_inputs = mark.inputs;
     }
 
     /// Allocates a fresh input variable.
@@ -554,6 +595,33 @@ mod tests {
     }
 
     #[test]
+    fn truncating_to_the_current_mark_is_a_no_op() {
+        let mut c = Circuit::new();
+        let x = c.input();
+        let y = c.input();
+        let both = c.and(x, y);
+        let (nodes, inputs) = (c.num_nodes(), c.num_inputs());
+        let mark = c.mark();
+        c.truncate(mark);
+        assert_eq!((c.num_nodes(), c.num_inputs()), (nodes, inputs));
+        assert_eq!(c.mark(), mark);
+        // The hash-cons entries survive: rebuilding the gate is a hit.
+        assert_eq!(c.and(y, x), both);
+        assert_eq!(c.num_nodes(), nodes);
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated past the mark")]
+    fn truncating_past_a_mark_panics() {
+        let mut c = Circuit::new();
+        let start = c.mark();
+        c.input();
+        let later = c.mark();
+        c.truncate(start);
+        c.truncate(later);
+    }
+
+    #[test]
     fn unreferenced_inputs_still_get_literals() {
         let mut c = Circuit::new();
         let _x = c.input();
@@ -562,5 +630,111 @@ mod tests {
         let inputs = c.encode(y, &mut s);
         assert_eq!(inputs.len(), 2);
         assert!(s.solve().is_sat());
+    }
+
+    mod truncation {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One step of a random gate program: a fresh input (kind 0) or an
+        /// AND, OR or IFF gate over earlier references, each picked by
+        /// index modulo the references built so far, possibly negated.
+        type Step = (u8, Vec<(usize, bool)>);
+
+        fn arb_program(len: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Vec<Step>> {
+            proptest::collection::vec(
+                (
+                    0u8..4,
+                    proptest::collection::vec((any::<usize>(), any::<bool>()), 1..=4),
+                ),
+                len,
+            )
+        }
+
+        /// Runs `program` on `c`, drawing children from `refs` and pushing
+        /// every result onto it; returns the program's results.
+        fn build(c: &mut Circuit, refs: &mut Vec<BoolRef>, program: &[Step]) -> Vec<BoolRef> {
+            let mut out = Vec::with_capacity(program.len());
+            for (kind, args) in program {
+                let kids: Vec<BoolRef> = args
+                    .iter()
+                    .map(|&(i, negated)| {
+                        let r = refs[i % refs.len()];
+                        if negated {
+                            !r
+                        } else {
+                            r
+                        }
+                    })
+                    .collect();
+                let r = match kind {
+                    0 => c.input(),
+                    1 => c.and_many(kids),
+                    2 => c.or_many(kids),
+                    _ => c.iff(kids[0], kids[kids.len() - 1]),
+                };
+                refs.push(r);
+                out.push(r);
+            }
+            out
+        }
+
+        /// Encodes `root` into a fresh solver: its size and its answer.
+        fn encoding(c: &Circuit, root: BoolRef) -> (usize, usize, SolveResult) {
+            let mut solver = Solver::new();
+            c.encode(root, &mut solver);
+            (solver.num_vars(), solver.num_clauses(), solver.solve())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Building A, then throwaway gates C, truncating back to the
+            /// mark taken after A and building B leaves exactly the circuit
+            /// built by A then B alone: the same references for B, the same
+            /// size, and the same Tseitin encoding and model for B's root.
+            #[test]
+            fn truncation_restores_the_circuit_at_the_mark(
+                a in arb_program(0..=12),
+                c_program in arb_program(0..=12),
+                b in arb_program(1..=12),
+            ) {
+                let mut reference = Circuit::new();
+                let mut refs = vec![Circuit::TRUE];
+                build(&mut reference, &mut refs, &a);
+                let want = build(&mut reference, &mut refs, &b);
+
+                let mut reused = Circuit::new();
+                let mut refs = vec![Circuit::TRUE];
+                build(&mut reused, &mut refs, &a);
+                let mark = reused.mark();
+                // C repeats every gate of A (hash-cons hits returning A's
+                // references), adds gates of its own, then runs B's program
+                // at other node numbers: a hash-cons entry surviving the
+                // truncation would hand B one of C's references.
+                let a_nodes = reused.nodes[..mark.nodes].to_vec();
+                for node in a_nodes {
+                    let (kids, is_and) = match node {
+                        Node::And(kids) => (kids, true),
+                        Node::Or(kids) => (kids, false),
+                        _ => continue,
+                    };
+                    let before = reused.num_nodes();
+                    reused.mk_gate(is_and, kids);
+                    prop_assert_eq!(reused.num_nodes(), before);
+                }
+                let mut c_refs = refs.clone();
+                build(&mut reused, &mut c_refs, &c_program);
+                build(&mut reused, &mut c_refs, &b);
+                reused.truncate(mark);
+                let got = build(&mut reused, &mut refs, &b);
+
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(reused.num_nodes(), reference.num_nodes());
+                prop_assert_eq!(reused.num_inputs(), reference.num_inputs());
+                let root = want[want.len() - 1];
+                prop_assert_eq!(encoding(&reused, root), encoding(&reference, root));
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! formula *and the candidate's facts* evaluate on the valuation to the
 //! expected boolean.
 
-use mualloy_relational::{elaborate_formula, Evaluator, Instance};
+use mualloy_relational::{elaborate_facts, elaborate_formula, Evaluator, Instance};
 use mualloy_syntax::ast::{Formula, Spec};
 
 use crate::error::AnalyzerError;
@@ -50,14 +50,17 @@ impl AUnitTest {
     /// Fails when elaboration or evaluation fails (e.g. the candidate
     /// renamed a referenced field).
     pub fn run(&self, candidate: &Spec) -> Result<bool, AnalyzerError> {
+        self.run_elaborated(candidate, &elaborate_facts(candidate)?)
+    }
+
+    /// [`AUnitTest::run`] against the candidate's facts as
+    /// [`elaborate_facts`] returns them.
+    fn run_elaborated(&self, candidate: &Spec, facts: &[Formula]) -> Result<bool, AnalyzerError> {
         let ev = Evaluator::new(&self.valuation);
         let mut value = true;
-        for fact in &candidate.facts {
-            for f in &fact.body {
-                let elaborated = elaborate_formula(candidate, f)?;
-                if !ev.formula(&elaborated)? {
-                    value = false;
-                }
+        for f in facts {
+            if !ev.formula(f)? {
+                value = false;
             }
         }
         if value {
@@ -102,12 +105,18 @@ impl TestSuite {
 
     /// Runs the whole suite; a test that errors counts as failing.
     ///
+    /// The candidate's facts are elaborated once for every test: when that
+    /// fails, every test fails, as each would alone.
+    ///
     /// Returns `(passed, failed)`.
     pub fn run(&self, candidate: &Spec) -> (usize, usize) {
+        let Ok(facts) = elaborate_facts(candidate) else {
+            return (0, self.tests.len());
+        };
         let mut passed = 0;
         let mut failed = 0;
         for t in &self.tests {
-            match t.run(candidate) {
+            match t.run_elaborated(candidate, &facts) {
                 Ok(true) => passed += 1,
                 _ => failed += 1,
             }
@@ -223,6 +232,42 @@ mod tests {
         ));
         let (p, f) = suite.run(&spec());
         assert_eq!((p, f), (0, 1));
+    }
+
+    #[test]
+    fn suite_matches_each_test_run_alone() {
+        // Evaluating the acyclicity fact on this valuation errors: it has
+        // no `next`.
+        let mut no_next = Instance::new((0..2).map(|i| format!("N${i}")).collect());
+        no_next.set_sig("N", [0u32, 1].into_iter().collect());
+        let suite: TestSuite = [
+            ("chain", chain_instance(), "some N", true),
+            ("no next", no_next, "some N", true),
+            ("expect false", chain_instance(), "no N", false),
+        ]
+        .into_iter()
+        .map(|(name, v, f, expect)| AUnitTest::new(name, v, parse_formula(f).unwrap(), expect))
+        .collect();
+        let alone = |candidate: &Spec| {
+            let passed = suite
+                .tests()
+                .iter()
+                .filter(|t| matches!(t.run(candidate), Ok(true)))
+                .count();
+            (passed, suite.len() - passed)
+        };
+        // An evaluation error fails only its own test.
+        let good = spec();
+        assert!(suite.tests()[1].run(&good).is_err());
+        assert_eq!(suite.run(&good), (2, 1));
+        assert_eq!(suite.run(&good), alone(&good));
+        // A fact that fails to elaborate fails every test.
+        let broken =
+            parse_spec("sig N { next: lone N } fact { no n: N | n in n.^next } fact { ghost }")
+                .unwrap();
+        assert!(suite.tests().iter().all(|t| t.run(&broken).is_err()));
+        assert_eq!(suite.run(&broken), (0, 3));
+        assert_eq!(suite.run(&broken), alone(&broken));
     }
 
     #[test]

@@ -18,6 +18,22 @@
 //!
 //! All stochastic choices flow from a caller-provided [`ChaCha8Rng`], so
 //! every experiment is reproducible from its seed.
+//!
+//! # The edit space
+//!
+//! A proposal samples from the prompt's *edit space*: the parsed
+//! specification and every operator and synthesis mutation of it. The edit
+//! space is a pure function of the prompt text and holds no RNG state; every
+//! draw comes after it is built. A model builds it once per distinct source
+//! and keeps the last one, so the drafts and rounds of one repair (whose
+//! prompts all carry the same faulty source) enumerate it once, and
+//! completions and the RNG stream are the ones a fresh model would give.
+//! [`FaultyLm`](crate::FaultyLm)'s `Truncated` path still replays the clean
+//! stream: it runs the model on a clone of the RNG, and the memo it may fill
+//! is the edit space the retry would build anyway.
+
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use mualloy_syntax::ast::*;
 use mualloy_syntax::walk::{replace_node, NodeId, NodeRepl};
@@ -68,30 +84,18 @@ pub struct Guidance {
     pub restrict_top: Option<usize>,
 }
 
-/// The synthetic language model.
-#[derive(Debug, Clone, Default)]
-pub struct SyntheticLm {
-    /// Capability parameters.
-    pub config: LmConfig,
+/// What a proposal samples from: the prompt's parsed specification (inside
+/// its engine) and its operator and synthesis mutations, in order.
+struct EditSpace {
+    engine: MutationEngine,
+    mutations: Vec<Mutation>,
 }
 
-impl SyntheticLm {
-    /// Creates a model with the given configuration.
-    pub fn new(config: LmConfig) -> SyntheticLm {
-        SyntheticLm { config }
-    }
-
-    /// Produces one completion for the prompt: the full text of a candidate
-    /// specification. Returns `None` when the prompt's specification does
-    /// not parse (a real model would hallucinate; the pipelines treat both
-    /// identically).
-    pub fn propose(
-        &self,
-        prompt: &Prompt,
-        guidance: Option<&Guidance>,
-        rng: &mut ChaCha8Rng,
-    ) -> Option<String> {
-        let spec = mualloy_syntax::parse_spec(&prompt.source).ok()?;
+impl EditSpace {
+    /// Parses `source` and enumerates its edits; `None` when it does not
+    /// parse.
+    fn build(source: &str) -> Option<EditSpace> {
+        let spec = mualloy_syntax::parse_spec(source).ok()?;
         let engine = MutationEngine::new(&spec);
         let mut mutations = engine.all_mutations();
         // The model can also synthesize fresh constraints (replace or
@@ -104,19 +108,91 @@ impl SyntheticLm {
             .cloned()
             .collect();
         mutations.extend(synthesis_mutations(&spec, &vocab, &synth_sites, 24));
+        Some(EditSpace { engine, mutations })
+    }
+}
+
+/// The last prompt source a model saw, by its full text, and its edit
+/// space (`None` for a source that does not parse).
+type EditSpaceMemo = Option<(String, Option<Arc<EditSpace>>)>;
+
+/// The synthetic language model.
+#[derive(Default)]
+pub struct SyntheticLm {
+    /// Capability parameters.
+    pub config: LmConfig,
+    edit_space: Mutex<EditSpaceMemo>,
+}
+
+impl Clone for SyntheticLm {
+    /// A clone copies the configuration but starts with no edit space.
+    fn clone(&self) -> SyntheticLm {
+        SyntheticLm::new(self.config)
+    }
+}
+
+impl fmt::Debug for SyntheticLm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SyntheticLm")
+            .field("config", &self.config)
+            .finish()
+    }
+}
+
+impl SyntheticLm {
+    /// Creates a model with the given configuration.
+    pub fn new(config: LmConfig) -> SyntheticLm {
+        SyntheticLm {
+            config,
+            edit_space: Mutex::default(),
+        }
+    }
+
+    /// The edit space of `source`: the memoized one when the last proposal
+    /// had the same source text, otherwise built now and memoized in its
+    /// place.
+    fn edit_space(&self, source: &str) -> Option<Arc<EditSpace>> {
+        // A panic while building leaves the previous entry in place, which
+        // is still valid, so a poisoned lock is safe to reuse.
+        let mut memo = self
+            .edit_space
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some((key, space)) = &*memo {
+            if key == source {
+                return space.clone();
+            }
+        }
+        let space = EditSpace::build(source).map(Arc::new);
+        *memo = Some((source.to_string(), space.clone()));
+        space
+    }
+
+    /// Produces one completion for the prompt: the full text of a candidate
+    /// specification. Returns `None` when the prompt's specification does
+    /// not parse (a real model would hallucinate; the pipelines treat both
+    /// identically).
+    pub fn propose(
+        &self,
+        prompt: &Prompt,
+        guidance: Option<&Guidance>,
+        rng: &mut ChaCha8Rng,
+    ) -> Option<String> {
+        let space = self.edit_space(&prompt.source)?;
+        let mutations = &space.mutations;
         if mutations.is_empty() {
             return Some(prompt.source.clone());
         }
 
         // 1. Choose the edit. A fix description adopted verbatim is applied
         // alone — the model "knows" the answer and does not improvise.
-        let from_fix_hint = self.fix_hint_edit(prompt, &mutations, rng);
+        let from_fix_hint = self.fix_hint_edit(prompt, mutations, rng);
         let adopted_fix = from_fix_hint.is_some();
         let chosen = from_fix_hint
-            .or_else(|| self.location_guided_edit(prompt, &mutations, rng))
-            .or_else(|| self.guidance_weighted_edit(guidance, &mutations, rng))
+            .or_else(|| self.location_guided_edit(prompt, mutations, rng))
+            .or_else(|| self.guidance_weighted_edit(guidance, mutations, rng))
             .or_else(|| mutations.choose(rng).cloned())?;
-        let mut candidate = engine.apply(&chosen)?;
+        let mut candidate = space.engine.apply(&chosen)?;
 
         // 2. Possibly stack a second edit.
         if !adopted_fix && rng.gen_bool(self.config.multi_edit_prob) {
@@ -299,7 +375,7 @@ mod tests {
     use super::*;
     use crate::prompt::ProblemHints;
     use mualloy_analyzer::Analyzer;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     const FAULTY: &str = "sig N { next: lone N }\n\
         fact Acyclic { some n: N | n in n.^next }\n\
@@ -472,5 +548,149 @@ mod tests {
             ..Prompt::default()
         };
         assert!(lm.propose(&prompt, None, &mut rng(0)).is_none());
+    }
+
+    /// A second parsable source, with different sites and vocabulary.
+    const DEAD: &str = "sig N {} fact Dead { no N } pred p { some N } run p for 3 expect 1";
+
+    /// No mutable site: assertion bodies are never mutated.
+    const NO_SITES: &str = "sig A {} assert Empty { no A } check Empty for 2 expect 0";
+
+    fn prompt(source: &str, hints: ProblemHints, feedback: Option<&str>) -> Prompt {
+        Prompt {
+            source: source.to_string(),
+            hints,
+            feedback: feedback.map(str::to_string),
+        }
+    }
+
+    /// The hints of `FAULTY`'s fault, each kind alone and all together.
+    fn faulty_hints() -> Vec<ProblemHints> {
+        let start = FAULTY.find("some n: N").unwrap();
+        let loc = vec![mualloy_syntax::Span::new(start, start + 30)];
+        let spec = mualloy_syntax::parse_spec(FAULTY).unwrap();
+        let sites = specrepair_core::sites_for_spans(&spec, &loc);
+        assert!(!sites.is_empty());
+        let all = ProblemHints {
+            loc: loc.clone(),
+            sites: sites.clone(),
+            fix: vec!["replace `some` with `no`".to_string()],
+            pass: Some("NoSelf".to_string()),
+        };
+        vec![
+            ProblemHints::default(),
+            ProblemHints {
+                loc,
+                ..ProblemHints::default()
+            },
+            ProblemHints {
+                sites,
+                ..ProblemHints::default()
+            },
+            ProblemHints {
+                fix: all.fix.clone(),
+                ..ProblemHints::default()
+            },
+            ProblemHints {
+                pass: all.pass.clone(),
+                ..ProblemHints::default()
+            },
+            all,
+        ]
+    }
+
+    #[test]
+    fn memoized_edit_space_proposes_like_a_fresh_model() {
+        let spec = mualloy_syntax::parse_spec(FAULTY).unwrap();
+        let site_weights: Vec<(NodeId, f64)> = MutationEngine::new(&spec)
+            .sites()
+            .enumerate()
+            .map(|(i, s)| (s.id, 1.0 / (i + 1) as f64))
+            .collect();
+        let guidance = [
+            None,
+            Some(Guidance {
+                site_weights: site_weights.clone(),
+                restrict_top: None,
+            }),
+            Some(Guidance {
+                site_weights,
+                restrict_top: Some(1),
+            }),
+        ];
+        let mut sequence = Vec::new();
+        for hints in faulty_hints() {
+            for feedback in [None, Some("The specification is still faulty.")] {
+                for g in &guidance {
+                    sequence.push((prompt(FAULTY, hints.clone(), feedback), g.clone()));
+                }
+            }
+        }
+        sequence.push((prompt(DEAD, ProblemHints::default(), None), None));
+        sequence.push((prompt(FAULTY, faulty_hints()[5].clone(), None), None));
+        sequence.push((prompt("sig {", ProblemHints::default(), None), None));
+        sequence.push((prompt(FAULTY, ProblemHints::default(), None), None));
+        sequence.push((prompt(NO_SITES, ProblemHints::default(), None), None));
+        sequence.push((prompt(DEAD, ProblemHints::default(), None), None));
+
+        let long_lived = SyntheticLm::default();
+        let (mut memo_rng, mut fresh_rng) = (rng(3), rng(3));
+        for (i, (p, g)) in sequence.iter().enumerate() {
+            for _ in 0..3 {
+                let memo = long_lived.propose(p, g.as_ref(), &mut memo_rng);
+                let fresh = SyntheticLm::default().propose(p, g.as_ref(), &mut fresh_rng);
+                assert_eq!(memo, fresh, "prompt {i}");
+                assert_eq!(
+                    memo_rng.clone().next_u64(),
+                    fresh_rng.clone().next_u64(),
+                    "prompt {i}: rng position"
+                );
+                match p.source.as_str() {
+                    "sig {" => assert_eq!(memo, None),
+                    NO_SITES => assert_eq!(memo.as_deref(), Some(NO_SITES)),
+                    _ => assert!(memo.is_some()),
+                }
+            }
+        }
+    }
+
+    /// The memo's key and edit space.
+    fn memoized(lm: &SyntheticLm) -> Option<(String, Option<Arc<EditSpace>>)> {
+        lm.edit_space.lock().unwrap().clone()
+    }
+
+    #[test]
+    fn edit_space_is_built_once_per_source() {
+        let lm = SyntheticLm::default();
+        let hints = faulty_hints();
+        let propose = |source, hints: &ProblemHints| {
+            lm.propose(&prompt(source, hints.clone(), None), None, &mut rng(0))
+        };
+        propose(FAULTY, &hints[0]);
+        let (key, first) = memoized(&lm).unwrap();
+        assert_eq!(key, FAULTY);
+        let first = first.unwrap();
+        // Another prompt with the same source reuses it.
+        propose(FAULTY, &hints[5]);
+        assert!(Arc::ptr_eq(&first, &memoized(&lm).unwrap().1.unwrap()));
+        // A source switch replaces it, and switching back builds anew.
+        propose(DEAD, &hints[0]);
+        let (key, dead) = memoized(&lm).unwrap();
+        assert_eq!(key, DEAD);
+        assert!(!Arc::ptr_eq(&first, &dead.unwrap()));
+        propose(FAULTY, &hints[0]);
+        let again = memoized(&lm).unwrap().1.unwrap();
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(first.mutations, again.mutations);
+        // An unparsable source is memoized as having no edit space.
+        assert!(propose("sig {", &hints[0]).is_none());
+        let (key, none) = memoized(&lm).unwrap();
+        assert_eq!((key.as_str(), none.is_none()), ("sig {", true));
+        // A clone starts empty and prints only its configuration.
+        assert!(memoized(&lm.clone()).is_none());
+        assert_eq!(
+            format!("{lm:?}"),
+            format!("SyntheticLm {{ config: {:?} }}", lm.config)
+        );
     }
 }

@@ -69,6 +69,21 @@ pub fn elaborate_formula(spec: &Spec, f: &Formula) -> Result<Formula, TranslateE
     ctx.formula(f, 0)
 }
 
+/// Elaborates each fact formula on its own, in declaration order. Ground
+/// evaluation checks a spec's facts by evaluating these on an instance, so
+/// one elaboration serves any number of instances.
+///
+/// # Errors
+///
+/// Same conditions as [`elaborate_spec`], for the first failing formula.
+pub fn elaborate_facts(spec: &Spec) -> Result<Vec<Formula>, TranslateError> {
+    spec.facts
+        .iter()
+        .flat_map(|fact| &fact.body)
+        .map(|f| elaborate_formula(spec, f))
+        .collect()
+}
+
 /// The formula `some params | body` used to execute `run p`: the predicate's
 /// parameters are existentially quantified over their bounds.
 ///

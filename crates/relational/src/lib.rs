@@ -49,7 +49,9 @@ pub mod matrix;
 pub mod translate;
 pub mod universe;
 
-pub use elaborate::{assert_body, elaborate_formula, elaborate_spec, pred_as_existential};
+pub use elaborate::{
+    assert_body, elaborate_facts, elaborate_formula, elaborate_spec, pred_as_existential,
+};
 pub use error::TranslateError;
 pub use eval::{Evaluator, GroundSet};
 pub use instance::Instance;

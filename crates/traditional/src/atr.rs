@@ -9,7 +9,7 @@
 //! any full validation is spent on it.
 
 use mualloy_analyzer::Oracle;
-use mualloy_relational::{assert_body, pred_as_existential, Evaluator, Instance};
+use mualloy_relational::{assert_body, elaborate_facts, pred_as_existential, Evaluator, Instance};
 use mualloy_syntax::ast::*;
 use mualloy_syntax::walk::{node_at, replace_node, NodeRepl, NodeSite};
 use mualloy_syntax::Fingerprint;
@@ -89,33 +89,38 @@ enum Screen {
     Fail,
 }
 
-/// Cheap screen judged by ground evaluation (no solving).
+/// Cheap screen judged by ground evaluation (no solving). The candidate's
+/// facts are elaborated once for all the evidence.
 fn screen(candidate: &Spec, evidence: &Evidence) -> Screen {
-    if !rejects_counterexamples(candidate, evidence) {
+    let facts = elaborate_facts(candidate).ok();
+    if !rejects_counterexamples(candidate, facts.as_deref(), evidence) {
         return Screen::Fail;
     }
-    if keeps_witnesses(candidate, evidence) {
+    if keeps_witnesses(candidate, facts.as_deref(), evidence) {
         Screen::Strong
     } else {
         Screen::Weak
     }
 }
 
-fn rejects_counterexamples(candidate: &Spec, evidence: &Evidence) -> bool {
+/// Whether the elaborated facts hold on the instance; facts that failed to
+/// elaborate (`None`) hold on none.
+fn facts_hold_on(facts: Option<&[Formula]>, ev: &Evaluator) -> bool {
+    facts.is_some_and(|fs| fs.iter().all(|f| ev.formula(f).unwrap_or(false)))
+}
+
+fn rejects_counterexamples(
+    candidate: &Spec,
+    facts: Option<&[Formula]>,
+    evidence: &Evidence,
+) -> bool {
     for (assert_name, cex) in &evidence.rejected {
         // Rejection: NOT (facts && !assert) on the counterexample.
         let Ok(body) = assert_body(candidate, assert_name) else {
             return false;
         };
         let ev = Evaluator::new(cex);
-        let facts_hold = candidate.facts.iter().all(|f| {
-            f.body.iter().all(|g| {
-                mualloy_relational::elaborate_formula(candidate, g)
-                    .ok()
-                    .and_then(|e| ev.formula(&e).ok())
-                    .unwrap_or(false)
-            })
-        });
+        let facts_hold = facts_hold_on(facts, &ev);
         let assert_holds = ev.formula(&body).unwrap_or(false);
         if facts_hold && !assert_holds {
             return false; // the counterexample would still be admitted
@@ -124,21 +129,13 @@ fn rejects_counterexamples(candidate: &Spec, evidence: &Evidence) -> bool {
     true
 }
 
-fn keeps_witnesses(candidate: &Spec, evidence: &Evidence) -> bool {
+fn keeps_witnesses(candidate: &Spec, facts: Option<&[Formula]>, evidence: &Evidence) -> bool {
     for (pred_name, inst) in &evidence.admitted {
         let Ok(formula) = pred_as_existential(candidate, pred_name) else {
             return false;
         };
         let ev = Evaluator::new(inst);
-        let facts_hold = candidate.facts.iter().all(|f| {
-            f.body.iter().all(|g| {
-                mualloy_relational::elaborate_formula(candidate, g)
-                    .ok()
-                    .and_then(|e| ev.formula(&e).ok())
-                    .unwrap_or(false)
-            })
-        });
-        if !(facts_hold && ev.formula(&formula).unwrap_or(false)) {
+        if !(facts_hold_on(facts, &ev) && ev.formula(&formula).unwrap_or(false)) {
             return false; // a known-good witness was lost
         }
     }
@@ -180,18 +177,19 @@ impl RepairTechnique for Atr {
             specrepair_trace::Phase::Orchestration,
         );
         let engine = MutationEngine::new(&ctx.faulty);
+        let mutations = engine.all_mutations();
         drop(mutation_span);
         for site in sites {
             // (a) mutation-level candidates at the site and its subtree.
             // Each candidate is a single-node rewrite of the faulty spec, so
             // it carries its incrementally-rehashed canonical fingerprint.
             let mut candidates: Vec<(Spec, Fingerprint)> = Vec::new();
-            for m in engine.all_mutations() {
+            for m in &mutations {
                 // Only mutations within the suspicious site's span.
                 if m.span.start >= site.span.start
                     && m.span.end <= site.span.end.max(site.span.start + 1)
                 {
-                    if let Some(mutant) = engine.apply(&m) {
+                    if let Some(mutant) = engine.apply(m) {
                         let key = ctx.fingerprint_edit(&mutant, m.site, &m.repl);
                         candidates.push((mutant, key));
                     }

@@ -1,6 +1,7 @@
 //! Bench for Experiment E2 (Figure 2): TM/SM similarity measurement.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mualloy_analyzer::Oracle;
 use specrepair_bench::bench_problems;
 use specrepair_metrics::{candidate_metrics, sentence_bleu, syntax_match};
 
@@ -15,8 +16,10 @@ fn bench_fig2(c: &mut Criterion) {
     group.bench_function("syntax_match_kernel", |b| {
         b.iter(|| syntax_match(&p.truth_source, &p.faulty_source))
     });
+    // The reference oracle arm memoizes nothing, so every iteration solves.
+    let oracle = Oracle::disabled();
     group.bench_function("full_candidate_metrics_with_rep", |b| {
-        b.iter(|| candidate_metrics(&p.truth, &p.truth_source, Some(&p.faulty_source)))
+        b.iter(|| candidate_metrics(&oracle, &p.truth, &p.truth_source, Some(&p.faulty_source)))
     });
     group.bench_function("fig2_aggregation_over_workload", |b| {
         b.iter(|| {

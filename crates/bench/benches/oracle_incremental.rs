@@ -1,9 +1,11 @@
 //! Microbench for the incremental oracle subsystem: validating a family of
 //! candidate mutations of one faulty spec through a persistent
 //! [`IncrementalEngine`] (one translator + one solver per skeleton,
-//! activation-guarded checks, learnt clauses retained) vs the cold path (a
-//! fresh [`Analyzer`] per candidate: one translation per scope, and a
-//! fresh encoding and solver per command).
+//! activation-guarded checks, learnt clauses retained, and partial-repair
+//! checking: the last refuting command first, stopping at the first
+//! mismatch) vs the cold path (a fresh [`Analyzer`] per candidate: one
+//! translation per scope, and a fresh encoding and solver for every
+//! command).
 //!
 //! Prints the measured cold-vs-incremental speedup before the criterion
 //! groups run; the CI microbench step greps for that line as the

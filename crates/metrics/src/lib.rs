@@ -4,7 +4,8 @@
 //! overlap statistics behind Figures 3–4:
 //!
 //! - **REP** — [`rep`]: command-by-command equisatisfiability of a repair
-//!   candidate against the ground truth (via [`mualloy_analyzer::equisat`]);
+//!   candidate against the ground truth, asked of the cell's oracle (its
+//!   reference definition is [`mualloy_analyzer::equisat::compare`]);
 //! - **TM** — [`bleu::sentence_bleu`]: whitespace-token sentence BLEU;
 //! - **SM** — [`kernel::syntax_match`]: normalized subtree-kernel
 //!   similarity of parse trees;
@@ -17,12 +18,13 @@
 //!
 //! ```
 //! use specrepair_metrics::{candidate_metrics, CandidateMetrics};
+//! use mualloy_analyzer::Oracle;
 //! use mualloy_syntax::parse_spec;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let truth = "sig A {} pred p { some A } run p for 3 expect 1";
 //! let candidate = "sig A {} pred p { some A } run p for 3 expect 1";
-//! let m = candidate_metrics(&parse_spec(truth)?, truth, Some(candidate));
+//! let m = candidate_metrics(&Oracle::new(), &parse_spec(truth)?, truth, Some(candidate));
 //! assert_eq!(m.rep, 1);
 //! assert_eq!(m.tm, Some(1.0));
 //! assert_eq!(m.sm, Some(1.0));
@@ -37,7 +39,8 @@ pub mod kernel;
 pub mod stats;
 pub mod treediff;
 
-use mualloy_syntax::Spec;
+use mualloy_analyzer::Oracle;
+use mualloy_syntax::ast::{Command, Spec};
 use serde::{Deserialize, Serialize};
 
 pub use bleu::sentence_bleu;
@@ -47,12 +50,39 @@ pub use treediff::{tree_diff, tree_similarity, EditKind, TreeDiff, TreeDiffSumma
 
 /// REP for a candidate source against the parsed ground truth: 1 when every
 /// ground-truth command is equisatisfiable under the candidate, else 0.
-/// Unparsable candidates (and absent ones) score 0.
-pub fn rep(truth: &Spec, candidate_source: Option<&str>) -> u8 {
-    match candidate_source {
-        None => 0,
-        Some(src) => mualloy_analyzer::rep_for_source(truth, src).unwrap_or(0),
+/// Unparsable candidates (and absent ones) score 0, as does a ground truth
+/// that has no commands or cannot execute them.
+///
+/// REP is asked of `oracle` as one verdict: the candidate, with its
+/// commands replaced by the truth's and each `expect` set to the truth's
+/// result, must satisfy its oracle. The truth's results are memoized by
+/// `oracle`, and a candidate that keeps the benchmark's commands — whose
+/// annotations are the truth's results — is its own probe, so a candidate
+/// the oracle already accepted scores from the memo. Equal to
+/// [`mualloy_analyzer::compare`]`(truth, candidate).rep()`, which stays the
+/// reference definition.
+pub fn rep(oracle: &Oracle, truth: &Spec, candidate_source: Option<&str>) -> u8 {
+    let Some(candidate) = candidate_source.and_then(|src| mualloy_syntax::parse_spec(src).ok())
+    else {
+        return 0;
+    };
+    let Ok(outcomes) = oracle.execute_all(truth) else {
+        return 0;
+    };
+    if outcomes.is_empty() {
+        return 0;
     }
+    let probe = Spec {
+        commands: outcomes
+            .into_iter()
+            .map(|o| Command {
+                expect: Some(o.sat),
+                ..o.command
+            })
+            .collect(),
+        ..candidate
+    };
+    u8::from(oracle.satisfies_oracle(&probe) == Ok(true))
 }
 
 /// The three per-candidate metrics of the study.
@@ -69,14 +99,15 @@ pub struct CandidateMetrics {
 /// Computes REP/TM/SM for one candidate against the ground truth.
 ///
 /// `truth_source` must be the text TM is measured against (the study uses
-/// the benchmark's ground-truth file).
+/// the benchmark's ground-truth file); REP is asked of `oracle` ([`rep`]).
 pub fn candidate_metrics(
+    oracle: &Oracle,
     truth: &Spec,
     truth_source: &str,
     candidate_source: Option<&str>,
 ) -> CandidateMetrics {
     CandidateMetrics {
-        rep: rep(truth, candidate_source),
+        rep: rep(oracle, truth, candidate_source),
         tm: candidate_source.map(|c| sentence_bleu(truth_source, c)),
         sm: candidate_source.map(|c| syntax_match(truth_source, c)),
     }
@@ -96,7 +127,7 @@ mod tests {
     #[test]
     fn perfect_candidate_scores_perfectly() {
         let truth = parse_spec(TRUTH).unwrap();
-        let m = candidate_metrics(&truth, TRUTH, Some(TRUTH));
+        let m = candidate_metrics(&Oracle::new(), &truth, TRUTH, Some(TRUTH));
         assert_eq!(m.rep, 1);
         assert_eq!(m.tm, Some(1.0));
         assert_eq!(m.sm, Some(1.0));
@@ -105,7 +136,7 @@ mod tests {
     #[test]
     fn missing_candidate_scores_zero_rep_and_no_similarity() {
         let truth = parse_spec(TRUTH).unwrap();
-        let m = candidate_metrics(&truth, TRUTH, None);
+        let m = candidate_metrics(&Oracle::new(), &truth, TRUTH, None);
         assert_eq!(m.rep, 0);
         assert_eq!(m.tm, None);
         assert_eq!(m.sm, None);
@@ -115,7 +146,7 @@ mod tests {
     fn semantically_equivalent_but_textually_different() {
         let truth = parse_spec(TRUTH).unwrap();
         let candidate = TRUTH.replace("no n: N | n in n.^next", "all n: N | n not in n.^next");
-        let m = candidate_metrics(&truth, TRUTH, Some(&candidate));
+        let m = candidate_metrics(&Oracle::new(), &truth, TRUTH, Some(&candidate));
         assert_eq!(m.rep, 1, "equivalent rewriting is still a repair");
         assert!(m.tm.unwrap() < 1.0);
         assert!(m.sm.unwrap() < 1.0);
@@ -125,10 +156,18 @@ mod tests {
     fn broken_candidate_scores_rep_zero_but_high_similarity() {
         let truth = parse_spec(TRUTH).unwrap();
         let candidate = TRUTH.replace("n in n.^next", "n not in n.^next");
-        let m = candidate_metrics(&truth, TRUTH, Some(&candidate));
+        let m = candidate_metrics(&Oracle::new(), &truth, TRUTH, Some(&candidate));
         assert_eq!(m.rep, 0);
         assert!(m.tm.unwrap() > 0.7);
         assert!(m.sm.unwrap() > 0.7);
+    }
+
+    #[test]
+    fn unparsable_candidate_scores_zero() {
+        let truth = parse_spec(TRUTH).unwrap();
+        let oracle = Oracle::new();
+        assert_eq!(rep(&oracle, &truth, Some("sig {")), 0);
+        assert_eq!(rep(&oracle, &truth, Some(TRUTH)), 1);
     }
 
     proptest! {

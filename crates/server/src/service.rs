@@ -408,7 +408,12 @@ impl RepairService {
                 .map(|r| r.label.clone())
         });
         let metrics = reference.as_ref().map(|(truth, truth_source)| {
-            candidate_metrics(truth, truth_source, outcome.candidate_source.as_deref())
+            candidate_metrics(
+                self.oracle.service(),
+                truth,
+                truth_source,
+                outcome.candidate_source.as_deref(),
+            )
         });
         let doc = RepairResponse {
             technique: outcome.technique.clone(),

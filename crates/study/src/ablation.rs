@@ -85,7 +85,11 @@ pub fn run(problems: &[RepairProblem], config: &StudyConfig) -> Ablation {
         .into_iter()
         .enumerate()
         {
-            arms[i].repaired += rep(&p.truth, outcome.candidate_source.as_deref()) as usize;
+            arms[i].repaired += rep(
+                oracle.service(),
+                &p.truth,
+                outcome.candidate_source.as_deref(),
+            ) as usize;
             arms[i].mean_explored += outcome.candidates_explored as f64;
         }
         incremental.absorb(&oracle.incremental_stats());

@@ -42,6 +42,11 @@
 //! vs orchestration). Span ids are deterministic per cell, so traces from
 //! resumed or differently-parallel runs are directly comparable.
 //!
+//! The oracle counters on stderr and in `cache_stats.json`,
+//! `dedup_stats.json` and `incremental_stats.json` cover REP scoring as
+//! well as the repairs: each cell asks REP of its problem's oracle (the
+//! ground truth's results, then one verdict for the candidate).
+//!
 //! `portfolio` (or the `--portfolio` flag) runs the racing-portfolio study
 //! instead: `--roster` picks the composition (`all`, `traditional`, `llm`,
 //! or a `Portfolio_…` label), `--workers` sizes the racing pool. The JSON
@@ -362,6 +367,7 @@ fn main() {
         incr_stats.clause_reuse_rate() * 100.0,
         incr_stats.learned_clauses_retained
     );
+    eprintln!("(oracle counters include REP scoring queries)");
     // Seal the persistent log (compact if the disk view drifted, then
     // fsync) before reporting: everything the run computed is durable.
     if let Some(cache) = &persist_cache {
@@ -512,7 +518,8 @@ fn die(msg: &str) -> ! {
         "usage: study <all|table1|fig2|fig3|table2|ablation|portfolio> [--scale X] [--seed N] \
          [--out DIR] [--journal FILE] [--resume] [--fault-rate R] [--fault-seed N] \
          [--roster NAME] [--workers N] [--trace DIR] [--cache-dir DIR] [--no-cache] \
-         [--shards a,b,c]"
+         [--shards a,b,c]\n\
+         oracle counters (stderr, *_stats.json) include REP scoring queries"
     );
     std::process::exit(2);
 }

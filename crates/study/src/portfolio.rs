@@ -175,10 +175,16 @@ pub fn run_portfolio_study(
         }
 
         // Sequential baseline: one worker = rank-ordered fallback chain.
+        let seq_oracle = OracleHandle::fresh();
         let t = Instant::now();
-        let seq = race(&OracleHandle::fresh(), roster, problem, config, Some(1));
+        let seq = race(&seq_oracle, roster, problem, config, Some(1));
         sequential_wall_ms += t.elapsed().as_millis() as u64;
-        sequential_records.push(record_from(problem, roster.label(), &seq.outcome));
+        sequential_records.push(record_from(
+            seq_oracle.service(),
+            problem,
+            roster.label(),
+            &seq.outcome,
+        ));
 
         // The racing portfolio.
         let race_oracle = OracleHandle::fresh();
@@ -191,7 +197,12 @@ pub fn run_portfolio_study(
         }
         budget_spent += raced.budget_spent;
         budget_saved += raced.budget_saved;
-        racing_records.push(record_from(problem, roster.label(), &raced.outcome));
+        racing_records.push(record_from(
+            race_oracle.service(),
+            problem,
+            roster.label(),
+            &raced.outcome,
+        ));
     }
 
     let records_identical = serde_json::to_string(&racing_records).unwrap()

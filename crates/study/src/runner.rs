@@ -302,14 +302,22 @@ pub fn evaluate_with(
     config: &StudyConfig,
 ) -> SpecRecord {
     let outcome = repair_with_oracle(oracle, id, problem, config);
-    record_from(problem, id.label(), &outcome)
+    record_from(oracle.service(), problem, id.label(), &outcome)
 }
 
 /// Assembles a [`SpecRecord`] from one finished outcome — shared by the
 /// solo study cells and the portfolio passes (which race an outcome first
-/// and score it the same way afterwards).
-pub fn record_from(problem: &RepairProblem, label: &str, outcome: &RepairOutcome) -> SpecRecord {
+/// and score it the same way afterwards). REP is asked of `oracle`, the
+/// one the cell repaired with, so the ground truth's results are solved
+/// once per problem and an accepted candidate scores from the memo.
+pub fn record_from(
+    oracle: &Oracle,
+    problem: &RepairProblem,
+    label: &str,
+    outcome: &RepairOutcome,
+) -> SpecRecord {
     let metrics = candidate_metrics(
+        oracle,
         &problem.truth,
         &problem.truth_source,
         outcome.candidate_source.as_deref(),

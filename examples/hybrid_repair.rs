@@ -36,7 +36,7 @@ fn main() {
                 .with_oracle(oracle.clone())
                 .with_cancel(CancelToken::none());
             let out = llm.repair(&ctx);
-            rep(&p.truth, out.candidate_source.as_deref()) == 1
+            rep(oracle.service(), &p.truth, out.candidate_source.as_deref()) == 1
         })
         .collect();
 
@@ -54,7 +54,7 @@ fn main() {
                     .with_oracle(oracle.clone())
                     .with_cancel(CancelToken::none());
                 let out = tool.repair(&ctx);
-                rep(&p.truth, out.candidate_source.as_deref()) == 1
+                rep(oracle.service(), &p.truth, out.candidate_source.as_deref()) == 1
             })
             .collect();
         let stats = overlap_stats(&trad_vector, &llm_vector);

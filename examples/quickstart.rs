@@ -55,10 +55,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Score both candidates against the ground truth with the paper's
-    // metrics (REP / TM / SM).
+    // metrics (REP / TM / SM); REP is asked of the context's oracle.
     let truth = mualloy_syntax::parse_spec(GROUND_TRUTH)?;
     for (name, outcome) in [("ATR", &atr_outcome), ("Multi-Round", &mr_outcome)] {
-        let m = candidate_metrics(&truth, GROUND_TRUTH, outcome.candidate_source.as_deref());
+        let m = candidate_metrics(
+            ctx.oracle.service(),
+            &truth,
+            GROUND_TRUTH,
+            outcome.candidate_source.as_deref(),
+        );
         println!(
             "{name}: REP={} TM={:.3} SM={:.3}",
             m.rep,

@@ -2,7 +2,7 @@
 //! on) real benchmark problems, end to end through parser, analyzer,
 //! mutation, repair and metrics.
 
-use mualloy_analyzer::Analyzer;
+use mualloy_analyzer::{Analyzer, Oracle};
 use specrepair_benchmarks::arepair;
 use specrepair_core::{
     preserves_oracle_surface, CancelToken, OracleHandle, RepairBudget, RepairContext,
@@ -67,8 +67,10 @@ fn successful_oracle_repairs_imply_rep_one() {
     for p in &problems {
         let out = tool.repair(&ctx_for(p));
         if out.success {
+            // A separate oracle from the repair's: REP is solved, not
+            // replayed from the memo that accepted the candidate.
             assert_eq!(
-                rep(&p.truth, out.candidate_source.as_deref()),
+                rep(&Oracle::new(), &p.truth, out.candidate_source.as_deref()),
                 1,
                 "oracle-passing ATR candidate for {} must be equisatisfiable",
                 p.id
@@ -110,9 +112,27 @@ fn hybrid_union_dominates_both_constituents() {
         let l = MultiRound::new(FeedbackSetting::None, 5).repair(&ctx);
         let h = UnionHybrid::new(Atr::default(), MultiRound::new(FeedbackSetting::None, 5))
             .repair(&ctx);
-        trad_only += usize::from(rep(&p.truth, t.candidate_source.as_deref()) == 1);
-        llm_only += usize::from(rep(&p.truth, l.candidate_source.as_deref()) == 1);
-        hybrid += usize::from(rep(&p.truth, h.candidate_source.as_deref()) == 1);
+        trad_only += usize::from(
+            rep(
+                ctx.oracle.service(),
+                &p.truth,
+                t.candidate_source.as_deref(),
+            ) == 1,
+        );
+        llm_only += usize::from(
+            rep(
+                ctx.oracle.service(),
+                &p.truth,
+                l.candidate_source.as_deref(),
+            ) == 1,
+        );
+        hybrid += usize::from(
+            rep(
+                ctx.oracle.service(),
+                &p.truth,
+                h.candidate_source.as_deref(),
+            ) == 1,
+        );
     }
     assert!(
         hybrid >= trad_only.max(llm_only),
@@ -129,7 +149,12 @@ fn metrics_are_consistent_for_all_techniques() {
     techniques.extend(specrepair_llm::default_suite(hints, 1));
     for t in techniques {
         let out = t.repair(&ctx_for(p));
-        let m = candidate_metrics(&p.truth, &p.truth_source, out.candidate_source.as_deref());
+        let m = candidate_metrics(
+            &Oracle::new(),
+            &p.truth,
+            &p.truth_source,
+            out.candidate_source.as_deref(),
+        );
         if let Some(tm) = m.tm {
             assert!((0.0..=1.0).contains(&tm), "{}: TM {}", t.name(), tm);
         }

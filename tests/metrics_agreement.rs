@@ -1,7 +1,7 @@
 //! Integration: the three study metrics agree with independent semantic
 //! ground truth across crates (analyzer ⟷ metrics ⟷ benchmarks).
 
-use mualloy_analyzer::{compare, Analyzer};
+use mualloy_analyzer::{compare, Analyzer, Oracle};
 use specrepair_benchmarks::full_study;
 use specrepair_metrics::{candidate_metrics, rep, sentence_bleu, syntax_match};
 
@@ -10,10 +10,16 @@ fn rep_equals_oracle_verdict_on_benchmark_entries() {
     // Every benchmark command carries an `expect` annotation satisfied by
     // the ground truth, so REP(candidate) == candidate-satisfies-oracle.
     for p in full_study(0.003) {
+        let oracle = Oracle::new();
         // The faulty spec fails its oracle, so REP must be 0 ...
-        assert_eq!(rep(&p.truth, Some(&p.faulty_source)), 0, "{}", p.id);
+        assert_eq!(
+            rep(&oracle, &p.truth, Some(&p.faulty_source)),
+            0,
+            "{}",
+            p.id
+        );
         // ... and the ground truth itself scores 1.
-        assert_eq!(rep(&p.truth, Some(&p.truth_source)), 1, "{}", p.id);
+        assert_eq!(rep(&oracle, &p.truth, Some(&p.truth_source)), 1, "{}", p.id);
     }
 }
 
@@ -35,7 +41,12 @@ fn similarity_of_faulty_vs_truth_is_high_but_imperfect() {
     let mut below_one = 0;
     let mut total = 0;
     for p in full_study(0.003) {
-        let m = candidate_metrics(&p.truth, &p.truth_source, Some(&p.faulty_source));
+        let m = candidate_metrics(
+            &Oracle::new(),
+            &p.truth,
+            &p.truth_source,
+            Some(&p.faulty_source),
+        );
         assert_eq!(m.rep, 0);
         let tm = m.tm.unwrap();
         let sm = m.sm.unwrap();

@@ -51,14 +51,9 @@ fn record_at(
     config: &StudyConfig,
     workers: usize,
 ) -> String {
-    let raced = portfolio::race(
-        &OracleHandle::fresh(),
-        roster,
-        problem,
-        config,
-        Some(workers),
-    );
-    let record = record_from(problem, roster.label(), &raced.outcome);
+    let oracle = OracleHandle::fresh();
+    let raced = portfolio::race(&oracle, roster, problem, config, Some(workers));
+    let record = record_from(oracle.service(), problem, roster.label(), &raced.outcome);
     serde_json::to_string(&record).unwrap()
 }
 
@@ -137,7 +132,8 @@ fn portfolio_equals_the_union_hybrid_of_its_roster() {
     for problem in problems() {
         let oracle = OracleHandle::fresh();
         let raced = portfolio::race(&oracle, roster, problem, &config, Some(4));
-        let portfolio_record = record_from(problem, roster.label(), &raced.outcome);
+        let portfolio_record =
+            record_from(oracle.service(), problem, roster.label(), &raced.outcome);
 
         // The same pair as a sequential UnionHybrid, each arm under the
         // member's calibrated budget and the same shared oracle.
@@ -159,7 +155,7 @@ fn portfolio_equals_the_union_hybrid_of_its_roster() {
             .with_oracle(oracle.clone())
             .with_cancel(CancelToken::none());
         let union = hybrid.repair(&ctx);
-        let union_record = record_from(problem, roster.label(), &union);
+        let union_record = record_from(oracle.service(), problem, roster.label(), &union);
 
         assert_eq!(
             serde_json::to_string(&portfolio_record).unwrap(),

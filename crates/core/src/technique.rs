@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use mualloy_analyzer::Oracle;
 use mualloy_syntax::walk::{NodeId, NodeRepl};
-use mualloy_syntax::{spec_fingerprint, Fingerprint, Spec, SpecHasher};
+use mualloy_syntax::{Fingerprint, Spec, SpecHasher};
 use serde::{Deserialize, Serialize};
 
 use crate::cancel::CancelToken;
@@ -115,19 +115,16 @@ impl RepairContext {
 
     /// Canonical fingerprint of a candidate produced by rewriting the
     /// faulty spec's node `target` with `payload`
-    /// ([`mualloy_syntax::walk::replace_node`]). Uses the context's
-    /// memoized hasher for an O(path + payload) incremental rehash, falling
-    /// back to a full hash walk of `candidate` when the incremental path is
-    /// unavailable (foreign node id, kind mismatch, unassigned ids).
+    /// ([`mualloy_syntax::walk::replace_node`]): the context hasher's
+    /// [`SpecHasher::fingerprint_edit`], an O(path + payload) rehash that
+    /// falls back to hashing `candidate` in full.
     pub fn fingerprint_edit(
         &self,
         candidate: &Spec,
         target: NodeId,
         payload: &NodeRepl,
     ) -> Fingerprint {
-        self.hasher
-            .fingerprint_replaced(target, payload)
-            .unwrap_or_else(|| spec_fingerprint(candidate))
+        self.hasher.fingerprint_edit(candidate, target, payload)
     }
 
     /// Replaces the cancellation token (to impose a deadline or wire the

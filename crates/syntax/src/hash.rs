@@ -613,6 +613,20 @@ impl SpecHasher {
         }
         Some(Fingerprint(h.finish()))
     }
+
+    /// Fingerprint of `candidate`, the spec `replace_node(spec, target,
+    /// payload)` produced: the incremental rehash of
+    /// [`SpecHasher::fingerprint_replaced`], or a full [`spec_fingerprint`]
+    /// of `candidate` where that declines.
+    pub fn fingerprint_edit(
+        &self,
+        candidate: &Spec,
+        target: NodeId,
+        payload: &NodeRepl,
+    ) -> Fingerprint {
+        self.fingerprint_replaced(target, payload)
+            .unwrap_or_else(|| spec_fingerprint(candidate))
+    }
 }
 
 #[cfg(test)]
@@ -742,6 +756,12 @@ mod tests {
         assert!(hasher
             .fingerprint_replaced(NodeId(9999), &NodeRepl::Formula(Formula::truth()))
             .is_none());
+        // `fingerprint_edit` then hashes the candidate it is given in full.
+        let other = parse_spec("sig A {}\nfact { no A }").unwrap();
+        assert_eq!(
+            hasher.fingerprint_edit(&other, NodeId(9999), &NodeRepl::Formula(Formula::truth())),
+            spec_fingerprint(&other)
+        );
     }
 
     proptest::proptest! {

@@ -6,10 +6,12 @@
 //! still violates the property oracle, extract fresh counterexamples from
 //! the candidate, strengthen the test suite with them, and iterate.
 
+use std::collections::HashSet;
+
 use specrepair_core::{OutcomeReason, RepairContext, RepairOutcome, RepairTechnique};
 
 use crate::arepair::greedy_test_repair;
-use crate::support::{counterexample_tests, derive_tests, CandidateLedger};
+use crate::support::{counterexample_tests, derive_tests};
 
 /// The ICEBAR technique.
 #[derive(Debug, Clone)]
@@ -40,7 +42,7 @@ impl RepairTechnique for Icebar {
         if suite.is_empty() {
             return RepairOutcome::failure(self.name(), 0, 0);
         }
-        let mut ledger = CandidateLedger::new();
+        let mut seen = HashSet::new();
         // Oracle validations are bounded by the round loop (one per round),
         // far below the candidate budget; the session still charges each.
         let mut session = ctx.validation_session();
@@ -60,7 +62,7 @@ impl RepairTechnique for Icebar {
                 &suite,
                 per_round_budget,
                 true,
-                &mut ledger,
+                &mut seen,
                 &ctx.cancel,
             );
             explored_total += explored;

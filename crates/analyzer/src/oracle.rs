@@ -8,11 +8,11 @@
 //! every [`Analyzer`] query behind a thread-safe sharded table keyed by the
 //! *content fingerprint* of the specification — the 128-bit canonical
 //! Merkle hash of [`mualloy_syntax::hash`], which is span-insensitive and
-//! agrees with print-equality — (plus the command / assertion / formula and
-//! scope for the per-command queries), so a question is solved at most once
+//! agrees with print-equality — (plus the assertion or formula, scope and
+//! limit for the enumeration queries), so a question is solved at most once
 //! per process. Callers that already know a candidate's fingerprint (e.g.
 //! from an incremental [`mualloy_syntax::SpecHasher`] rehash) pass it to
-//! the `*_keyed` variants and skip the hash walk entirely.
+//! [`Oracle::satisfies_oracle_keyed`] and skip the hash walk entirely.
 //!
 //! Results are cached including errors: an `Err` answer is as deterministic
 //! as an `Ok` one. Ground evaluations ([`Oracle::evaluate`]) are pass-through
@@ -35,6 +35,10 @@
 //!    ([`Oracle::cold`], and whenever the engine declines) — then memoizes
 //!    the verdict and writes it through to the tier.
 //!
+//! Narrower yes/no questions take the same chain as verdicts on a *probe*:
+//! the spec with its commands replaced by the ones asked about (REP, the
+//! localizer's relaxation probes, Single-Round's Pass self-check).
+//!
 //! [`DedupStats`] count the chain once: hits are verdict queries answered
 //! without a solve of their own (memo, tier, or waiting on the leader),
 //! misses are those that solved, and `coalesced` is the waiting subset.
@@ -48,9 +52,9 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
-use mualloy_relational::Instance;
+use mualloy_relational::{elaborate_formula, Evaluator, Instance};
 use mualloy_sat::{stats as sat_stats, SolverStats};
-use mualloy_syntax::ast::{Command, Formula, Spec};
+use mualloy_syntax::ast::{Formula, Spec};
 use mualloy_syntax::{spec_fingerprint, Fingerprint};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -88,11 +92,6 @@ struct SpecEntry {
     /// verdict chain probes `execute_all` first, so a full answer is never
     /// shadowed by this line.
     verdict: Option<Memo<bool>>,
-    /// Per-command outcomes, for commands not covered by `execute_all`
-    /// (e.g. localization re-running one command on a relaxed spec).
-    commands: HashMap<Command, Memo<Result<CommandOutcome, AnalyzerError>>>,
-    /// `check_assert` outcomes keyed by (assertion, scope).
-    asserts: HashMap<(String, u32), Memo<Result<CommandOutcome, AnalyzerError>>>,
     /// Counterexample enumerations keyed by (assertion, scope, limit).
     counterexamples: HashMap<(String, u32, usize), InstancesMemo>,
     /// Instance enumerations keyed by (formula, scope, limit).
@@ -598,21 +597,6 @@ impl Oracle {
         self.execute_all_with(spec, None)
     }
 
-    /// [`Oracle::execute_all`] with a precomputed canonical fingerprint,
-    /// skipping the hash walk. The caller guarantees
-    /// `key == Oracle::fingerprint(spec)`.
-    ///
-    /// # Errors
-    ///
-    /// Fails (and caches the failure) when any command cannot be executed.
-    pub fn execute_all_keyed(
-        &self,
-        spec: &Spec,
-        key: Fingerprint,
-    ) -> Result<Vec<CommandOutcome>, AnalyzerError> {
-        self.execute_all_with(spec, Some(key))
-    }
-
     fn execute_all_with(
         &self,
         spec: &Spec,
@@ -748,111 +732,6 @@ impl Oracle {
             .collect())
     }
 
-    /// [`Oracle::failing_commands`] with a precomputed canonical
-    /// fingerprint, skipping the hash walk.
-    ///
-    /// # Errors
-    ///
-    /// Fails when any command cannot be executed.
-    pub fn failing_commands_keyed(
-        &self,
-        spec: &Spec,
-        key: Fingerprint,
-    ) -> Result<Vec<CommandOutcome>, AnalyzerError> {
-        Ok(self
-            .execute_all_keyed(spec, key)?
-            .into_iter()
-            .filter(|o| !o.matches_expectation())
-            .collect())
-    }
-
-    /// Memoized [`Analyzer::run_command`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown targets or translation errors.
-    pub fn run_command(&self, spec: &Spec, cmd: &Command) -> Result<CommandOutcome, AnalyzerError> {
-        let span = specrepair_trace::span("oracle.run_command", Phase::OracleCache);
-        if !self.enabled {
-            let (computed, solver) =
-                sat_stats::collect(|| Analyzer::new(spec.clone()).run_command(cmd));
-            tag_query(&span, false, &solver);
-            return self.record(computed);
-        }
-        let key = Oracle::fingerprint(spec);
-        let shard = self.shard_of(key);
-        if let Some(cached) = shard
-            .lock()
-            .entries
-            .get(&key)
-            .and_then(|e| e.commands.get(cmd).cloned())
-        {
-            tag_query(&span, true, &cached.solver);
-            return self.hit(cached.value);
-        }
-        let (computed, solver) =
-            sat_stats::collect(|| Analyzer::new(spec.clone()).run_command(cmd));
-        tag_query(&span, false, &solver);
-        let computed = self.record(computed);
-        self.memoize(shard, key, |e| {
-            e.commands.insert(
-                cmd.clone(),
-                Memo {
-                    value: computed.clone(),
-                    solver,
-                },
-            );
-        });
-        computed
-    }
-
-    /// Memoized [`Analyzer::check_assert`]: searches for a counterexample
-    /// to the named assertion at the given scope.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the assertion is unknown or translation fails.
-    pub fn check_assert(
-        &self,
-        spec: &Spec,
-        name: &str,
-        scope: u32,
-    ) -> Result<CommandOutcome, AnalyzerError> {
-        let span = specrepair_trace::span("oracle.check_assert", Phase::OracleCache);
-        if !self.enabled {
-            let (computed, solver) =
-                sat_stats::collect(|| Analyzer::new(spec.clone()).check_assert(name, scope));
-            tag_query(&span, false, &solver);
-            return self.record(computed);
-        }
-        let key = Oracle::fingerprint(spec);
-        let subkey = (name.to_string(), scope);
-        let shard = self.shard_of(key);
-        if let Some(cached) = shard
-            .lock()
-            .entries
-            .get(&key)
-            .and_then(|e| e.asserts.get(&subkey).cloned())
-        {
-            tag_query(&span, true, &cached.solver);
-            return self.hit(cached.value);
-        }
-        let (computed, solver) =
-            sat_stats::collect(|| Analyzer::new(spec.clone()).check_assert(name, scope));
-        tag_query(&span, false, &solver);
-        let computed = self.record(computed);
-        self.memoize(shard, key, |e| {
-            e.asserts.insert(
-                subkey,
-                Memo {
-                    value: computed.clone(),
-                    solver,
-                },
-            );
-        });
-        computed
-    }
-
     /// Memoized [`Analyzer::counterexamples`]: up to `limit` distinct
     /// counterexamples to the named assertion.
     ///
@@ -951,7 +830,8 @@ impl Oracle {
     }
 
     /// Ground evaluation of a formula against a concrete instance —
-    /// pass-through (no solving happens, so nothing is worth caching).
+    /// pass-through (no solving happens, so nothing is worth caching), and
+    /// elaborated against the borrowed spec as [`Analyzer::evaluate`] does.
     ///
     /// # Errors
     ///
@@ -962,7 +842,8 @@ impl Oracle {
         instance: &Instance,
         formula: &Formula,
     ) -> Result<bool, AnalyzerError> {
-        Analyzer::new(spec.clone()).evaluate(instance, formula)
+        let f = elaborate_formula(spec, formula)?;
+        Ok(Evaluator::new(instance).formula(&f)?)
     }
 }
 
@@ -1081,16 +962,13 @@ mod tests {
     fn per_command_queries_are_cached() {
         let spec = parse_spec(GOOD).unwrap();
         let oracle = Oracle::new();
-        let a = oracle.check_assert(&spec, "NoSelfLoop", 3).unwrap();
-        let b = oracle.check_assert(&spec, "NoSelfLoop", 3).unwrap();
-        assert_eq!(a, b);
         let c1 = oracle.counterexamples(&spec, "NoSelfLoop", 3, 2).unwrap();
         let c2 = oracle.counterexamples(&spec, "NoSelfLoop", 3, 2).unwrap();
         assert_eq!(c1, c2);
         let e1 = oracle.enumerate(&spec, &Formula::truth(), 3, 2).unwrap();
         let e2 = oracle.enumerate(&spec, &Formula::truth(), 3, 2).unwrap();
         assert_eq!(e1, e2);
-        assert_eq!(oracle.stats().hits, 3);
+        assert_eq!(oracle.stats().hits, 2);
     }
 
     #[test]

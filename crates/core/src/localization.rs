@@ -5,7 +5,10 @@
 //!
 //! - **relaxation** (for over-constraint symptoms — a `run … expect 1` that
 //!   is unsatisfiable): a site is suspicious if replacing it with `true`
-//!   makes the failing command match its expectation;
+//!   makes the failing command match its expectation. Each probe is a
+//!   verdict on the relaxed spec with only that command left, so it takes
+//!   the oracle's verdict chain: memo, tier, singleflight, then the
+//!   incremental session of the faulty spec's skeleton;
 //! - **vocabulary overlap** (for under-constraint symptoms — a
 //!   `check … expect 0` with a counterexample): a site is suspicious in
 //!   proportion to how much vocabulary it shares with the violated
@@ -102,25 +105,27 @@ pub fn localize_with(oracle: &Oracle, spec: &Spec) -> Localization {
         .collect();
 
     for outcome in &failing {
-        let over_constraint = is_over_constraint(outcome);
-        for (idx, site) in sites.iter().enumerate() {
-            if over_constraint {
+        if is_over_constraint(outcome) {
+            for (s, site) in scored.iter_mut().zip(&sites) {
                 if relaxation_fixes(oracle, spec, site.id, &outcome.command) {
-                    scored[idx].score += 1.0;
+                    s.score += 1.0;
                 }
-            } else if let Some(target_vocab) = command_vocabulary(spec, &outcome.command) {
-                if let Some(NodeRepl::Formula(f)) = node_at(spec, site.id) {
-                    let mut site_vocab = BTreeSet::new();
-                    idents_in_formula(&f, &mut site_vocab);
-                    let overlap = jaccard(&site_vocab, &target_vocab);
-                    scored[idx].score += 0.5 * overlap;
-                    // A conjunct that already *holds* on the counterexample
-                    // permitted it: small extra suspicion for under-
-                    // constraint symptoms.
-                    if let Some(cex) = &outcome.instance {
-                        if oracle.evaluate(spec, cex, &f).unwrap_or(false) {
-                            scored[idx].score += 0.25 * overlap;
-                        }
+            }
+        } else if let Some(target_vocab) = command_vocabulary(spec, &outcome.command) {
+            for (s, site) in scored.iter_mut().zip(&sites) {
+                let Some(NodeRepl::Formula(f)) = node_at(spec, site.id) else {
+                    continue;
+                };
+                let mut site_vocab = BTreeSet::new();
+                idents_in_formula(&f, &mut site_vocab);
+                let overlap = jaccard(&site_vocab, &target_vocab);
+                s.score += 0.5 * overlap;
+                // A conjunct that already *holds* on the counterexample
+                // permitted it: small extra suspicion for under-constraint
+                // symptoms.
+                if let Some(cex) = &outcome.instance {
+                    if oracle.evaluate(spec, cex, &f).unwrap_or(false) {
+                        s.score += 0.25 * overlap;
                     }
                 }
             }
@@ -163,15 +168,17 @@ fn is_over_constraint(outcome: &CommandOutcome) -> bool {
     outcome.command.expect == Some(true) && !outcome.sat
 }
 
-/// Replaces the site with `true` and re-runs the failing command.
+/// Replaces the site with `true` and asks the oracle for the verdict of the
+/// relaxed spec with only the failing command left. An error is `false`.
 fn relaxation_fixes(oracle: &Oracle, spec: &Spec, site: NodeId, cmd: &Command) -> bool {
     let Some(relaxed) = replace_node(spec, site, NodeRepl::Formula(Formula::truth())) else {
         return false;
     };
-    oracle
-        .run_command(&relaxed, cmd)
-        .map(|o| o.matches_expectation())
-        .unwrap_or(false)
+    let probe = Spec {
+        commands: vec![cmd.clone()],
+        ..relaxed
+    };
+    oracle.satisfies_oracle(&probe) == Ok(true)
 }
 
 /// The identifier vocabulary of a command's target body.
@@ -241,6 +248,23 @@ mod tests {
         let top = &loc.ranked[0];
         assert_eq!(top.owner.0, OwnerKind::Fact);
         assert!(top.score >= 1.0);
+    }
+
+    #[test]
+    fn relaxation_probes_ask_only_the_failing_command() {
+        // Both runs fail. Relaxing `NoA` fixes the first alone (`NoB` still
+        // refutes the second), so it scores exactly once, from the first
+        // command; a probe that kept the other command would score nothing.
+        let spec = parse_spec(
+            "sig A {} sig B {} fact NoA { no A } fact NoB { no B } \
+             pred hasA { some A } pred hasBoth { some A && some B } \
+             run hasA for 3 expect 1 run hasBoth for 3 expect 1",
+        )
+        .unwrap();
+        let loc = localize(&spec);
+        let score_of = |span: Span| loc.ranked.iter().find(|s| s.span == span).map(|s| s.score);
+        assert_eq!(score_of(spec.facts[0].body[0].span()), Some(1.0));
+        assert_eq!(score_of(spec.facts[1].body[0].span()), None);
     }
 
     #[test]

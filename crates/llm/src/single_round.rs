@@ -6,8 +6,11 @@
 //! modeled as self-conditioning: the model internally drafts a handful of
 //! completions and emits the first whose named assertion verifies, which is
 //! how a requirement stated in the prompt manifests in a single visible
-//! answer.
+//! answer. That self-check is a verdict on the draft with its commands
+//! replaced by the one `check`, so the oracle's verdict chain answers it.
 
+use mualloy_analyzer::Oracle;
+use mualloy_syntax::ast::{Command, CommandKind, Spec};
 use mualloy_syntax::Span;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -133,11 +136,7 @@ impl SingleRound {
                 ctx.repair_is_valid(&candidate)
             } else if let Some(assert_name) = &hints.pass {
                 // The model only verifies the assertion named in the prompt.
-                ctx.oracle
-                    .service()
-                    .check_assert(&candidate, assert_name, default_scope(&candidate))
-                    .map(|o| !o.sat)
-                    .unwrap_or(false)
+                pass_holds(ctx.oracle.service(), &candidate, assert_name)
             } else {
                 // Pass-style setting without a usable pass hint: first draft.
                 true
@@ -200,8 +199,25 @@ impl SingleRound {
 
 /// The scope used to verify a *Pass* requirement: the max command scope in
 /// the candidate, defaulting to 3.
-fn default_scope(spec: &mualloy_syntax::Spec) -> u32 {
+fn default_scope(spec: &Spec) -> u32 {
     spec.commands.iter().map(|c| c.scope).max().unwrap_or(3)
+}
+
+/// The *Pass* self-check: whether the named assertion has no
+/// counterexample in `candidate` at [`default_scope`], asked as the verdict
+/// of `check <name> for <scope> expect 0` on the candidate with its other
+/// commands dropped. An unknown assertion or any analyzer error fails it.
+fn pass_holds(oracle: &Oracle, candidate: &Spec, assert_name: &str) -> bool {
+    let probe = Spec {
+        commands: vec![Command {
+            kind: CommandKind::Check(assert_name.to_string()),
+            scope: default_scope(candidate),
+            expect: Some(false),
+            span: Span::synthetic(),
+        }],
+        ..candidate.clone()
+    };
+    oracle.satisfies_oracle(&probe) == Ok(true)
 }
 
 impl RepairTechnique for SingleRound {
@@ -304,6 +320,36 @@ mod tests {
         let b = t.repair(&ctx());
         assert_eq!(a.candidate_source, b.candidate_source);
         assert_eq!(a.success, b.success);
+    }
+
+    #[test]
+    fn pass_probe_agrees_with_checking_the_assertion() {
+        use mualloy_analyzer::Analyzer;
+        let variant = |fact: &str| {
+            mualloy_syntax::parse_spec(&FAULTY.replace("some n: N | n in n.^next", fact)).unwrap()
+        };
+        // `NoSelf` holds; has a counterexample (a self-loop is a cycle);
+        // holds while the run fails, so the whole oracle rejects the spec.
+        let holds = variant("no n: N | n in n.^next");
+        let refuted = variant("some n: N | n in n.^next");
+        let other_fails = variant("no N");
+        assert!(!Analyzer::new(other_fails.clone())
+            .satisfies_oracle()
+            .unwrap());
+        let oracle = Oracle::new();
+        for (candidate, name, expected) in [
+            (&holds, "NoSelf", true),
+            (&refuted, "NoSelf", false),
+            (&holds, "Ghost", false),
+            (&other_fails, "NoSelf", true),
+        ] {
+            let reference = Analyzer::new(candidate.clone())
+                .check_assert(name, default_scope(candidate))
+                .map(|o| !o.sat)
+                .unwrap_or(false);
+            assert_eq!(reference, expected, "{name}");
+            assert_eq!(pass_holds(&oracle, candidate, name), reference, "{name}");
+        }
     }
 
     #[test]

@@ -4,7 +4,11 @@
 //! FLACK-style localizer the way the localization literature does: by the
 //! rank of the first reported site that overlaps a true fault location.
 
-use specrepair_core::{first_hit_rank, localization::constraint_sites, localize};
+use mualloy_analyzer::Oracle;
+use mualloy_syntax::{NodeId, Span};
+use specrepair_core::{
+    first_hit_rank, localization::constraint_sites, localize, localize_with, Localization,
+};
 
 #[test]
 fn localizer_ranks_true_fault_sites_highly() {
@@ -96,5 +100,40 @@ fn deleted_constraints_are_localizable_via_vocabulary() {
         ranked_any * 2 >= deletions.len(),
         "only {ranked_any}/{} deletion faults produced a ranking",
         deletions.len()
+    );
+}
+
+/// A ranking as comparable values, scores bit for bit.
+fn ranking(loc: &Localization) -> Vec<(NodeId, Span, u64)> {
+    loc.ranked
+        .iter()
+        .map(|s| (s.id, s.span, s.score.to_bits()))
+        .collect()
+}
+
+#[test]
+fn localization_agrees_across_oracle_strategies() {
+    // Relaxation probes are verdicts. One oracle shared across the study and
+    // asked twice per spec, as Multi-Round re-localizes, answers them from
+    // its incremental sessions and then its memo; a cold oracle and the
+    // reference arm solve afresh. The rankings must not differ.
+    let shared = Oracle::new();
+    let mut ranked = 0usize;
+    for p in specrepair_benchmarks::full_study(0.005) {
+        let reference = ranking(&localize_with(&Oracle::disabled(), &p.faulty));
+        let cold = ranking(&localize_with(&Oracle::cold(), &p.faulty));
+        let first = ranking(&localize_with(&shared, &p.faulty));
+        let solves = shared.stats().solver_invocations;
+        let again = ranking(&localize_with(&shared, &p.faulty));
+        assert_eq!(shared.stats().solver_invocations, solves, "{}", p.id);
+        for (arm, got) in [("cold", cold), ("shared", first), ("shared again", again)] {
+            assert_eq!(got, reference, "{}: {arm} oracle", p.id);
+        }
+        ranked += usize::from(!reference.is_empty());
+    }
+    assert!(ranked > 0, "no spec was ranked");
+    assert!(
+        shared.incremental_stats().checks > 0,
+        "relaxation probes must reach the incremental sessions"
     );
 }

@@ -3,9 +3,15 @@
 //! A [`Matrix`] maps atom tuples to circuit references; absent tuples are
 //! false. All Alloy relational operators are implemented over this
 //! representation, mirroring Kodkod's translation.
+//!
+//! A clone shares its entries with the original, and the first write to a
+//! shared matrix copies them. The translator hands out the same compiled
+//! matrix many times — a quantified variable's binding, a signature or
+//! field, a cached closed subterm — and most uses only read it.
 
 use mualloy_sat::{BoolRef, Circuit};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::error::TranslateError;
 
@@ -16,7 +22,7 @@ pub type Tuple = Vec<u32>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Matrix {
     arity: usize,
-    entries: BTreeMap<Tuple, BoolRef>,
+    entries: Arc<BTreeMap<Tuple, BoolRef>>,
 }
 
 impl Matrix {
@@ -29,7 +35,16 @@ impl Matrix {
         assert!(arity > 0, "relations have positive arity");
         Matrix {
             arity,
-            entries: BTreeMap::new(),
+            entries: Arc::default(),
+        }
+    }
+
+    /// The unary matrix holding `atom` with constant truth: a quantified
+    /// variable's binding.
+    pub(crate) fn singleton(atom: u32) -> Matrix {
+        Matrix {
+            arity: 1,
+            entries: Arc::new(BTreeMap::from([(vec![atom], Circuit::TRUE)])),
         }
     }
 
@@ -54,13 +69,14 @@ impl Matrix {
         if value == Circuit::FALSE {
             return;
         }
-        match self.entries.get(&tuple).copied() {
+        let entries = Arc::make_mut(&mut self.entries);
+        match entries.get(&tuple).copied() {
             None => {
-                self.entries.insert(tuple, value);
+                entries.insert(tuple, value);
             }
             Some(old) => {
                 let merged = circuit.or(old, value);
-                self.entries.insert(tuple, merged);
+                entries.insert(tuple, merged);
             }
         }
     }
@@ -201,11 +217,11 @@ impl Matrix {
                 self.arity
             )));
         }
-        let mut out = Matrix::empty(2);
-        for (t, v) in self.iter() {
-            out.entries.insert(vec![t[1], t[0]], v);
-        }
-        Ok(out)
+        let entries = self.iter().map(|(t, v)| (vec![t[1], t[0]], v)).collect();
+        Ok(Matrix {
+            arity: 2,
+            entries: Arc::new(entries),
+        })
     }
 
     /// Transitive closure via iterative squaring (binary relations only).
@@ -370,11 +386,11 @@ mod tests {
     use super::*;
 
     fn constant_matrix(arity: usize, tuples: &[&[u32]]) -> Matrix {
-        let mut m = Matrix::empty(arity);
-        for t in tuples {
-            m.entries.insert(t.to_vec(), Circuit::TRUE);
+        let entries = tuples.iter().map(|t| (t.to_vec(), Circuit::TRUE)).collect();
+        Matrix {
+            arity,
+            entries: Arc::new(entries),
         }
-        m
     }
 
     #[test]

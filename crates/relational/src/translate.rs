@@ -6,10 +6,19 @@
 //! compile into [`BoolRef`]s. The *base constraint* conjoins declaration
 //! multiplicities, field bounds and every fact — every analysis conjoins it
 //! with a command-specific formula.
+//!
+//! Quantifiers, comprehensions and `let`s are expanded: their bodies are
+//! compiled once per binding. Within one top-level compile — a
+//! [`Translator::compile_formula`] call, or one fact body — a subterm under
+//! a binder that names none of the variables bound around it is compiled
+//! once and then reused (Kodkod's translation cache). Recompiling it would
+//! only hit the circuit's hash-cons table, so the reuse changes no gate, no
+//! node number and no clause: the same gates, the same numbering, the same
+//! CNF.
 
-use mualloy_sat::{BoolRef, Circuit};
+use mualloy_sat::{BoolRef, Circuit, FxBuildHasher};
 use mualloy_syntax::ast::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::elaborate::elaborate_spec;
 use crate::error::TranslateError;
@@ -24,6 +33,111 @@ const MAX_COUNT_ENTRIES: usize = 4096;
 /// Environment mapping bound variable names to their compiled matrices.
 type Env = BTreeMap<String, Matrix>;
 
+/// The closed subterms under a binder in one top-level formula, keyed by
+/// node address, each with its compiled value once known.
+///
+/// A subterm is closed when it names no variable bound around it, as
+/// `^next` in `all n: N | n in n.^next`: every binding compiles it to the
+/// same gates. The addresses stay valid because the formula is borrowed
+/// for the whole top-level compile, and the cache is dropped when it
+/// ends, before any [`Circuit::truncate`] can drop the gates it names.
+#[derive(Debug, Default)]
+struct ClosedSubterms {
+    exprs: HashMap<usize, Option<Matrix>, FxBuildHasher>,
+    formulas: HashMap<usize, Option<BoolRef>, FxBuildHasher>,
+}
+
+/// A node's address: its key in [`ClosedSubterms`].
+fn addr<T>(node: &T) -> usize {
+    std::ptr::from_ref(node).addr()
+}
+
+/// The binder index of a subterm that names no bound variable.
+const UNBOUND: usize = usize::MAX;
+
+/// Marks the closed subterms under a binder of one top-level formula.
+///
+/// Each visit returns the lowest index, on the stack of enclosing
+/// binders, of a variable the subterm names. A subterm at stack depth `d`
+/// is closed when that index is at least `d`: everything it names is
+/// bound inside it, or is a signature or field.
+struct Marker<'a, 'f> {
+    bound: Vec<&'f str>,
+    closed: &'a mut ClosedSubterms,
+}
+
+impl<'f> Marker<'_, 'f> {
+    fn formula(&mut self, f: &'f Formula) -> usize {
+        let depth = self.bound.len();
+        let lowest = match f {
+            Formula::Compare(_, l, r, _) => self.expr(l).min(self.expr(r)),
+            Formula::IntCompare(_, l, r, _) => self.int_expr(l).min(self.int_expr(r)),
+            Formula::Mult(_, e, _) => self.expr(e),
+            Formula::Not(inner, _) => self.formula(inner),
+            Formula::Binary(_, l, r, _) => self.formula(l).min(self.formula(r)),
+            Formula::Quant(_, decls, body, _) => self.binder(decls, body),
+            Formula::Let(name, e, body, _) => {
+                let lowest = self.expr(e);
+                self.bound.push(name);
+                let body = self.formula(body);
+                self.bound.pop();
+                lowest.min(body)
+            }
+            Formula::PredCall(_, args, _) => self.exprs(args),
+        };
+        if depth > 0 && lowest >= depth {
+            self.closed.formulas.insert(addr(f), None);
+        }
+        lowest
+    }
+
+    fn expr(&mut self, e: &'f Expr) -> usize {
+        let depth = self.bound.len();
+        let lowest = match e {
+            Expr::Ident(name, _) => self
+                .bound
+                .iter()
+                .rposition(|b| b == name)
+                .unwrap_or(UNBOUND),
+            Expr::Univ(_) | Expr::Iden(_) | Expr::None(_) => UNBOUND,
+            Expr::Unary(_, inner, _) => self.expr(inner),
+            Expr::Binary(_, l, r, _) => self.expr(l).min(self.expr(r)),
+            Expr::Comprehension(decls, body, _) => self.binder(decls, body),
+            Expr::IfThenElse(c, t, f, _) => self.formula(c).min(self.expr(t)).min(self.expr(f)),
+            Expr::FunCall(_, args, _) => self.exprs(args),
+        };
+        if depth > 0 && lowest >= depth {
+            self.closed.exprs.insert(addr(e), None);
+        }
+        lowest
+    }
+
+    fn exprs(&mut self, es: &'f [Expr]) -> usize {
+        es.iter().map(|e| self.expr(e)).min().unwrap_or(UNBOUND)
+    }
+
+    fn int_expr(&mut self, e: &'f IntExpr) -> usize {
+        match e {
+            IntExpr::Card(e, _) => self.expr(e),
+            IntExpr::Lit(..) => UNBOUND,
+        }
+    }
+
+    /// Declarations bind one after another: each bound sees the variables
+    /// declared before it, and the body sees them all.
+    fn binder(&mut self, decls: &'f [VarDecl], body: &'f Formula) -> usize {
+        let depth = self.bound.len();
+        let mut lowest = UNBOUND;
+        for d in decls {
+            lowest = lowest.min(self.expr(&d.bound));
+            self.bound.push(&d.name);
+        }
+        lowest = lowest.min(self.formula(body));
+        self.bound.truncate(depth);
+        lowest
+    }
+}
+
 /// A specification translated into a boolean circuit.
 #[derive(Debug)]
 pub struct Translator {
@@ -35,6 +149,8 @@ pub struct Translator {
     field_matrices: BTreeMap<String, Matrix>,
     /// Per-atom membership refs (input var, or constant TRUE for `one sig`).
     atom_member: Vec<BoolRef>,
+    /// The current top-level compile's closed subterms.
+    closed: ClosedSubterms,
     decls: BoolRef,
     base: BoolRef,
 }
@@ -98,18 +214,22 @@ impl Translator {
             field_matrices.insert(field.name.clone(), m);
         }
 
+        // The spec moves in once compiled, so compiling can borrow it
+        // while the translator grows.
         let mut tr = Translator {
             circuit,
             universe,
-            spec,
+            spec: Spec::default(),
             sig_matrices,
             field_matrices,
             atom_member,
+            closed: ClosedSubterms::default(),
             decls: Circuit::TRUE,
             base: Circuit::TRUE,
         };
-        let decls = tr.compile_declarations()?;
-        let facts = tr.compile_facts()?;
+        let decls = tr.compile_declarations(&spec)?;
+        let facts = tr.compile_facts(&spec)?;
+        tr.spec = spec;
         tr.decls = decls;
         tr.base = tr.circuit.and(decls, facts);
         Ok(tr)
@@ -146,8 +266,14 @@ impl Translator {
     ///
     /// Fails on unknown names, arity mismatches or remaining calls.
     pub fn compile_formula(&mut self, f: &Formula) -> Result<BoolRef, TranslateError> {
-        let env = Env::new();
-        self.formula(f, &env)
+        Marker {
+            bound: Vec::new(),
+            closed: &mut self.closed,
+        }
+        .formula(f);
+        let out = self.formula(f, &Env::new());
+        self.closed = ClosedSubterms::default();
+        out
     }
 
     /// Decodes a model's input-variable values into a concrete [`Instance`].
@@ -191,26 +317,23 @@ impl Translator {
 
     // -------------------------------------------------------- declarations
 
-    fn compile_declarations(&mut self) -> Result<BoolRef, TranslateError> {
+    fn compile_declarations(&mut self, spec: &Spec) -> Result<BoolRef, TranslateError> {
         let mut constraints = Vec::new();
 
         // Signature multiplicities (`one` handled by fixed pools).
-        for sig in self.spec.sigs.clone() {
-            let m = self.sig_matrices[&sig.name].clone();
+        for sig in &spec.sigs {
+            let vals = self.sig_matrices[&sig.name].values();
             match sig.mult {
                 Some(SigMult::Lone) => {
-                    let vals = m.values();
                     let amo = self.count_at_most(&vals, 1)?;
                     constraints.push(amo);
                 }
                 Some(SigMult::Some) => {
-                    let vals = m.values();
                     constraints.push(self.circuit.or_many(vals));
                 }
                 Some(SigMult::One) if !self.universe.pool_of_sig_fixed(&sig.name) => {
                     // `one sig` over a non-fixed pool cannot happen (the
                     // universe allocates a fixed singleton); defensive only.
-                    let vals = m.values();
                     let eq1 = self.circuit.count_eq(&vals, 1);
                     constraints.push(eq1);
                 }
@@ -219,12 +342,8 @@ impl Translator {
         }
 
         // Field bounds and multiplicities.
-        for (owner, field) in self
-            .spec
-            .fields()
-            .map(|(o, f)| (o.clone(), f.clone()))
-            .collect::<Vec<_>>()
-        {
+        for (owner, field) in spec.fields() {
+            // A shared handle on the field's matrix, not a copy.
             let fm = self.field_matrices[&field.name].clone();
             // Tuple membership implies column membership.
             let mut col_sigs: Vec<&str> = vec![owner.name.as_str()];
@@ -281,20 +400,35 @@ impl Translator {
         Ok(self.circuit.and_many(constraints))
     }
 
-    fn compile_facts(&mut self) -> Result<BoolRef, TranslateError> {
+    fn compile_facts(&mut self, spec: &Spec) -> Result<BoolRef, TranslateError> {
         let mut conj = Vec::new();
-        for fact in self.spec.facts.clone() {
-            for f in &fact.body {
-                let env = Env::new();
-                conj.push(self.formula(f, &env)?);
-            }
+        for f in spec.facts.iter().flat_map(|fact| &fact.body) {
+            conj.push(self.compile_formula(f)?);
         }
         Ok(self.circuit.and_many(conj))
     }
 
     // ------------------------------------------------------------ formulas
 
+    /// Compiles `f`, or reuses its gate if it is a closed subterm compiled
+    /// before in this top-level compile.
     fn formula(&mut self, f: &Formula, env: &Env) -> Result<BoolRef, TranslateError> {
+        if env.is_empty() {
+            return self.formula_uncached(f, env);
+        }
+        let key = addr(f);
+        match self.closed.formulas.get(&key).copied() {
+            None => self.formula_uncached(f, env),
+            Some(Some(gate)) => Ok(gate),
+            Some(None) => {
+                let gate = self.formula_uncached(f, env)?;
+                self.closed.formulas.insert(key, Some(gate));
+                Ok(gate)
+            }
+        }
+    }
+
+    fn formula_uncached(&mut self, f: &Formula, env: &Env) -> Result<BoolRef, TranslateError> {
         match f {
             Formula::Compare(op, l, r, _) => {
                 let lm = self.expr(l, env)?;
@@ -426,14 +560,14 @@ impl Translator {
                         d.name
                     )));
                 }
-                for (t, v) in bound.clone().iter() {
+                for (t, v) in bound.iter() {
                     let atom = t[0];
                     let guard2 = self.circuit.and(guard, v);
                     if guard2 == Circuit::FALSE {
                         continue;
                     }
                     let mut env2 = env.clone();
-                    env2.insert(d.name.clone(), singleton(atom));
+                    env2.insert(d.name.clone(), Matrix::singleton(atom));
                     self.expand_all(rest, body, &env2, guard2, out)?;
                 }
                 Ok(())
@@ -465,14 +599,14 @@ impl Translator {
                         d.name
                     )));
                 }
-                for (t, v) in bound.clone().iter() {
+                for (t, v) in bound.iter() {
                     let atom = t[0];
                     let guard2 = self.circuit.and(guard, v);
                     if guard2 == Circuit::FALSE {
                         continue;
                     }
                     let mut env2 = env.clone();
-                    env2.insert(d.name.clone(), singleton(atom));
+                    env2.insert(d.name.clone(), Matrix::singleton(atom));
                     self.expand_some(rest, body, &env2, guard2, out)?;
                 }
                 Ok(())
@@ -606,7 +740,25 @@ impl Translator {
 
     // --------------------------------------------------------- expressions
 
+    /// Compiles `e`, or shares its matrix if it is a closed subterm
+    /// compiled before in this top-level compile.
     fn expr(&mut self, e: &Expr, env: &Env) -> Result<Matrix, TranslateError> {
+        if env.is_empty() {
+            return self.expr_uncached(e, env);
+        }
+        let key = addr(e);
+        match self.closed.exprs.get(&key).cloned() {
+            None => self.expr_uncached(e, env),
+            Some(Some(m)) => Ok(m),
+            Some(None) => {
+                let m = self.expr_uncached(e, env)?;
+                self.closed.exprs.insert(key, Some(m.clone()));
+                Ok(m)
+            }
+        }
+    }
+
+    fn expr_uncached(&mut self, e: &Expr, env: &Env) -> Result<Matrix, TranslateError> {
         match e {
             Expr::Ident(name, _) => {
                 if let Some(m) = env.get(name) {
@@ -711,7 +863,7 @@ impl Translator {
                     continue;
                 }
                 let mut env2 = env_i.clone();
-                env2.insert(decls[i].name.clone(), singleton(atom));
+                env2.insert(decls[i].name.clone(), Matrix::singleton(atom));
                 let mut tuple2 = tuple.clone();
                 tuple2.push(atom);
                 stack.push((i + 1, env2, guard2, tuple2));
@@ -764,14 +916,6 @@ fn flip(op: IntCmpOp) -> IntCmpOp {
     }
 }
 
-fn singleton(atom: u32) -> Matrix {
-    let mut m = Matrix::empty(1);
-    // Direct insertion: a singleton with constant truth.
-    let mut c = Circuit::new(); // scratch; set() only uses circuit for or-ing
-    m.set(&mut c, vec![atom], Circuit::TRUE);
-    m
-}
-
 fn fill_product(cols: &[&[u32]], idx: usize, tuple: &mut Vec<u32>, f: &mut impl FnMut(&[u32])) {
     if idx == cols.len() {
         f(tuple);
@@ -812,6 +956,90 @@ mod tests {
             }
             SolveResult::Unsat => None,
         }
+    }
+
+    /// Enumerates every instance of base ∧ `formula` and of base ∧
+    /// ¬`formula` at `scope`: the ground evaluator must agree on each, and
+    /// both sides must have one, so every binding's compile is exercised.
+    fn agrees_with_evaluator(spec_src: &str, formula_src: &str, scope: u32) {
+        let spec = parse_spec(spec_src).unwrap();
+        let f = mualloy_syntax::parse_formula(formula_src).unwrap();
+        for holds in [true, false] {
+            let mut tr = Translator::new(&spec, scope).unwrap();
+            let f = crate::elaborate::elaborate_formula(tr.spec(), &f).unwrap();
+            let fv = tr.compile_formula(&f).unwrap();
+            let goal = if holds { fv } else { !fv };
+            let root = tr.circuit.and(tr.base_constraint(), goal);
+            let mut solver = Solver::new();
+            let inputs = tr.circuit.encode(root, &mut solver);
+            let mut instances = 0;
+            while let SolveResult::Sat(m) = solver.solve() {
+                let vals: Vec<bool> = inputs
+                    .iter()
+                    .map(|l| m[l.var().index()] == l.is_positive())
+                    .collect();
+                let inst = tr.decode(&vals);
+                let ground = crate::eval::Evaluator::new(&inst).formula(&f).unwrap();
+                assert_eq!(ground, holds, "`{formula_src}` on {inst:?}");
+                instances += 1;
+                let block: Vec<_> = inputs
+                    .iter()
+                    .zip(&vals)
+                    .map(|(&l, &v)| if v { !l } else { l })
+                    .collect();
+                if !solver.add_clause(block) {
+                    break;
+                }
+            }
+            assert!(instances > 0, "`{formula_src}` is never {holds}");
+        }
+    }
+
+    /// 440 instances at scope 2.
+    const GRAPH: &str = "sig A { r: set A } sig B { s: set A }";
+
+    #[test]
+    fn shadowed_quantifier_variables_agree_with_the_evaluator() {
+        // The inner `x` is bound by `x.r`, which names the outer `x`; the
+        // body's `x.r` names the inner one.
+        agrees_with_evaluator(GRAPH, "some x: A | (all x: x.r | no x.r) and some x.r", 2);
+        agrees_with_evaluator(GRAPH, "all x: A | all y: x.r | some x: y.r | x in y.r", 2);
+    }
+
+    #[test]
+    fn let_bound_names_agree_with_the_evaluator() {
+        agrees_with_evaluator(GRAPH, "all x: A | let y = x.r | some y implies y in r.A", 2);
+        agrees_with_evaluator(GRAPH, "let t = A.r | all x: A | x in t or no x.r", 2);
+        agrees_with_evaluator(GRAPH, "some x: A | let x = x.r | some x", 2);
+    }
+
+    #[test]
+    fn comprehension_variables_agree_with_the_evaluator() {
+        agrees_with_evaluator(GRAPH, "all x: A | some { y: A | y in x.r and some B.s }", 2);
+        agrees_with_evaluator(GRAPH, "some { x: A, y: x.r | x in y.r } & r", 2);
+    }
+
+    #[test]
+    fn closed_subterms_under_nested_quantifiers_agree_with_the_evaluator() {
+        agrees_with_evaluator(
+            GRAPH,
+            "all x: A | all y: A | x in y.r or some (B.s & A.r)",
+            2,
+        );
+        agrees_with_evaluator(GRAPH, "some x: A | all y: B | x in y.s and #(A.r) > 1", 2);
+    }
+
+    #[test]
+    fn closures_in_quantifier_bodies_agree_with_the_evaluator() {
+        // 567 instances at scope 3: paths of two hops.
+        let chain = "sig N { r: set N }";
+        agrees_with_evaluator(chain, "all n: N | n in n.^r or n.*r = n", 3);
+        agrees_with_evaluator(
+            chain,
+            "some n: N | all m: N | m in n.*r and n not in n.^r",
+            3,
+        );
+        agrees_with_evaluator(GRAPH, "all x: B | x.s.^r in x.s", 2);
     }
 
     #[test]

@@ -5,10 +5,19 @@
 //! signed references. Structural hashing plus constant folding keep the
 //! circuit compact before it is encoded into a [`Solver`] via the Tseitin
 //! transformation.
+//!
+//! Interning is the hot path: a translation asks for far more gates than
+//! it creates, because a quantifier body rebuilds the same gates once per
+//! binding. A gate's children are folded (identity, absorbing, duplicate
+//! and complementary children), sorted, and then looked up by the borrowed
+//! child slice, so a hit allocates nothing. Two-child gates, the common
+//! case, fold on the stack. Every path folds the same way and probes the
+//! same table, so a gate gets the same node however it is asked for.
 
 use crate::cnf::Lit;
 use crate::solver::Solver;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A signed reference to a circuit node; negative means negated.
 ///
@@ -75,8 +84,50 @@ pub struct CircuitMark {
 #[derive(Debug, Clone, Default)]
 pub struct Circuit {
     nodes: Vec<Node>,
-    dedup: HashMap<Node, i32>,
+    /// Hash-cons tables of the AND and OR gates, keyed by their sorted
+    /// children.
+    ands: GateTable,
+    ors: GateTable,
     num_inputs: u32,
+}
+
+type GateTable = HashMap<Box<[BoolRef]>, i32, FxBuildHasher>;
+
+/// Builds [`FxHasher`]s: the hasher of the circuit's hash-cons tables, fit
+/// for any small integer key.
+pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
+/// A multiply-rotate hasher in the style of Firefox's and rustc's
+/// `FxHasher`: far cheaper than SipHash on integer keys, with no defence
+/// against keys crafted to collide. Its keys are references and addresses
+/// the program hands out itself, never input from outside.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+
+    fn write_i32(&mut self, i: i32) {
+        self.add(u64::from(i as u32));
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's entropy sits in its high bits; the table indexes
+        // buckets by the low ones.
+        self.0.rotate_left(26)
+    }
 }
 
 impl Circuit {
@@ -128,8 +179,14 @@ impl Circuit {
             "circuit truncated past the mark"
         );
         for node in self.nodes.drain(mark.nodes..) {
-            if matches!(node, Node::And(_) | Node::Or(_)) {
-                self.dedup.remove(&node);
+            match node {
+                Node::And(kids) => {
+                    self.ands.remove(&kids[..]);
+                }
+                Node::Or(kids) => {
+                    self.ors.remove(&kids[..]);
+                }
+                Node::ConstTrue | Node::Input(_) => {}
             }
         }
         self.num_inputs = mark.inputs;
@@ -191,31 +248,63 @@ impl Circuit {
         match children.len() {
             0 => identity,
             1 => children[0],
-            _ => {
-                let node = if is_and {
-                    Node::And(children)
-                } else {
-                    Node::Or(children)
-                };
-                if let Some(&idx) = self.dedup.get(&node) {
-                    return BoolRef(idx);
-                }
-                self.nodes.push(node.clone());
-                let idx = self.nodes.len() as i32;
-                self.dedup.insert(node, idx);
-                BoolRef(idx)
-            }
+            _ => self.intern(is_and, children),
         }
+    }
+
+    /// The gate over `children` — sorted, deduplicated, free of constants
+    /// and complementary pairs, at least two — creating it on a miss.
+    fn intern(
+        &mut self,
+        is_and: bool,
+        children: impl AsRef<[BoolRef]> + Into<Vec<BoolRef>>,
+    ) -> BoolRef {
+        let idx = self.nodes.len() as i32 + 1;
+        let table = if is_and {
+            &mut self.ands
+        } else {
+            &mut self.ors
+        };
+        if let Some(&found) = table.get(children.as_ref()) {
+            return BoolRef(found);
+        }
+        let children: Vec<BoolRef> = children.into();
+        table.insert(children.as_slice().into(), idx);
+        self.nodes.push(if is_and {
+            Node::And(children)
+        } else {
+            Node::Or(children)
+        });
+        BoolRef(idx)
+    }
+
+    /// [`Circuit::mk_gate`] over two children, folded on the stack.
+    fn mk_gate2(&mut self, is_and: bool, a: BoolRef, b: BoolRef) -> BoolRef {
+        let identity = Circuit::constant(is_and);
+        if a == identity {
+            return b;
+        }
+        if b == identity {
+            return a;
+        }
+        let absorbing = !identity;
+        if a == absorbing || b == absorbing || a == !b {
+            return absorbing;
+        }
+        if a == b {
+            return a;
+        }
+        self.intern(is_and, if a < b { [a, b] } else { [b, a] })
     }
 
     /// Conjunction of two references.
     pub fn and(&mut self, a: BoolRef, b: BoolRef) -> BoolRef {
-        self.and_many(vec![a, b])
+        self.mk_gate2(true, a, b)
     }
 
     /// Disjunction of two references.
     pub fn or(&mut self, a: BoolRef, b: BoolRef) -> BoolRef {
-        self.or_many(vec![a, b])
+        self.mk_gate2(false, a, b)
     }
 
     /// Conjunction of many references.
@@ -312,14 +401,8 @@ impl Circuit {
                 let v = match &self.nodes[idx] {
                     Node::ConstTrue => true,
                     Node::Input(i) => inputs[*i as usize],
-                    Node::And(cs) => {
-                        let cs = cs.clone();
-                        cs.iter().all(|&c| self.eval_node(c, inputs, memo))
-                    }
-                    Node::Or(cs) => {
-                        let cs = cs.clone();
-                        cs.iter().any(|&c| self.eval_node(c, inputs, memo))
-                    }
+                    Node::And(cs) => cs.iter().all(|&c| self.eval_node(c, inputs, memo)),
+                    Node::Or(cs) => cs.iter().any(|&c| self.eval_node(c, inputs, memo)),
                 };
                 memo[idx] = Some(v);
                 v
@@ -403,48 +486,28 @@ impl Circuit {
                 v.positive()
             }
             Node::Input(i) => input_lits[*i as usize],
-            Node::And(cs) => {
-                let child_lits: Vec<Lit> = cs
-                    .iter()
-                    .map(|c| {
-                        let l = self.encode_node(c.node(), solver, input_lits, node_lit);
-                        if c.is_negated() {
-                            !l
-                        } else {
-                            l
-                        }
-                    })
-                    .collect();
-                let v = solver.new_var().positive();
-                // v -> ci for each child; (c1 & ... & cn) -> v.
-                let mut long = vec![v];
-                for &c in &child_lits {
-                    solver.add_clause([!v, c]);
-                    long.push(!c);
+            Node::And(cs) | Node::Or(cs) => {
+                for c in cs {
+                    self.encode_node(c.node(), solver, input_lits, node_lit);
                 }
-                solver.add_clause(long);
-                v
-            }
-            Node::Or(cs) => {
-                let child_lits: Vec<Lit> = cs
-                    .iter()
-                    .map(|c| {
-                        let l = self.encode_node(c.node(), solver, input_lits, node_lit);
-                        if c.is_negated() {
-                            !l
-                        } else {
-                            l
-                        }
-                    })
-                    .collect();
+                let child = |c: &BoolRef| {
+                    let l = node_lit[c.node()].expect("children are encoded first");
+                    if c.is_negated() {
+                        !l
+                    } else {
+                        l
+                    }
+                };
+                // AND: v -> ci for each child; (c1 & ... & cn) -> v. OR's
+                // clauses are AND's with every literal negated: ci -> v;
+                // v -> (c1 | ... | cn).
+                let is_and = matches!(self.nodes[idx], Node::And(_));
+                let pol = |l: Lit| if is_and { l } else { !l };
                 let v = solver.new_var().positive();
-                // ci -> v for each child; v -> (c1 | ... | cn).
-                let mut long = vec![!v];
-                for &c in &child_lits {
-                    solver.add_clause([v, !c]);
-                    long.push(c);
+                for c in cs {
+                    solver.add_clause([pol(!v), pol(child(c))]);
                 }
-                solver.add_clause(long);
+                solver.add_clause(std::iter::once(pol(v)).chain(cs.iter().map(|c| pol(!child(c)))));
                 v
             }
         };
@@ -479,6 +542,96 @@ mod tests {
         let a = c.and(x, y);
         let b = c.and(y, x);
         assert_eq!(a, b);
+    }
+
+    /// `and`/`or` fold like `and_many`/`or_many` over the same children
+    /// and find the same gate, whichever is asked first, including n-ary
+    /// calls that fold down to two children.
+    #[test]
+    fn two_child_constructors_agree_with_the_n_ary_ones() {
+        fn gate(c: &mut Circuit, is_and: bool, a: BoolRef, b: BoolRef) -> BoolRef {
+            if is_and {
+                c.and(a, b)
+            } else {
+                c.or(a, b)
+            }
+        }
+        fn gate_many(c: &mut Circuit, is_and: bool, kids: Vec<BoolRef>) -> BoolRef {
+            if is_and {
+                c.and_many(kids)
+            } else {
+                c.or_many(kids)
+            }
+        }
+        for two_first in [true, false] {
+            let mut c = Circuit::new();
+            let x = c.input();
+            let y = c.input();
+            let refs = [Circuit::TRUE, Circuit::FALSE, x, !x, y, !y];
+            for &a in &refs {
+                for &b in &refs {
+                    for is_and in [true, false] {
+                        let identity = Circuit::constant(is_and);
+                        let (first, nodes) = if two_first {
+                            (gate(&mut c, is_and, a, b), c.num_nodes())
+                        } else {
+                            (gate_many(&mut c, is_and, vec![a, b]), c.num_nodes())
+                        };
+                        let others = [
+                            gate(&mut c, is_and, b, a),
+                            gate_many(&mut c, is_and, vec![b, a]),
+                            gate_many(&mut c, is_and, vec![a, identity, b]),
+                            gate_many(&mut c, is_and, vec![identity, b, a, b, identity]),
+                        ];
+                        for other in others {
+                            assert_eq!(other, first, "{a:?} {b:?} and={is_and}");
+                        }
+                        assert_eq!(c.num_nodes(), nodes, "{a:?} {b:?} and={is_and}");
+                    }
+                }
+            }
+        }
+        let mut c = Circuit::new();
+        let a = c.input();
+        let b = c.input();
+        let padded = c.and_many(vec![a, Circuit::TRUE, b]);
+        let nodes = c.num_nodes();
+        assert_eq!(c.and(b, a), padded);
+        assert_eq!(c.or_many(vec![Circuit::FALSE, b, a, a]), c.or(a, b));
+        assert_eq!(c.num_nodes(), nodes + 1);
+        assert_eq!(c.and_many(vec![a, b, !a]), Circuit::FALSE);
+        assert_eq!(c.or_many(vec![b, !b, a]), Circuit::TRUE);
+        assert_eq!(c.and(a, !a), Circuit::FALSE);
+        assert_eq!(c.or(!b, b), Circuit::TRUE);
+        assert_eq!(c.num_nodes(), nodes + 1);
+    }
+
+    /// After a truncation, the two-child and n-ary paths both rebuild the
+    /// dropped gates at the references a fresh circuit gives them.
+    #[test]
+    fn gates_rebuilt_after_truncating_get_a_fresh_circuits_refs() {
+        fn program(c: &mut Circuit, xs: &[BoolRef]) -> Vec<BoolRef> {
+            let g1 = c.and(xs[0], !xs[1]);
+            let g2 = c.or_many(vec![xs[2], g1, !xs[0]]);
+            let g3 = c.or(g2, xs[1]);
+            let g4 = c.and_many(vec![g3, Circuit::TRUE, xs[2]]);
+            vec![g1, g2, g3, g4, c.iff(g4, g1)]
+        }
+        let mut fresh = Circuit::new();
+        let xs: Vec<BoolRef> = (0..3).map(|_| fresh.input()).collect();
+        let want = program(&mut fresh, &xs);
+
+        let mut c = Circuit::new();
+        let xs: Vec<BoolRef> = (0..3).map(|_| c.input()).collect();
+        let mark = c.mark();
+        // Other gates first, so the program's gates land at other nodes.
+        c.or(xs[1], !xs[2]);
+        c.and_many(vec![xs[0], xs[1], xs[2]]);
+        let shifted = program(&mut c, &xs);
+        assert_ne!(shifted, want);
+        c.truncate(mark);
+        assert_eq!(program(&mut c, &xs), want);
+        assert_eq!(c.num_nodes(), fresh.num_nodes());
     }
 
     #[test]

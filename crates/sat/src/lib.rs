@@ -35,7 +35,7 @@ pub mod incremental;
 pub mod solver;
 pub mod stats;
 
-pub use circuit::{BoolRef, Circuit, CircuitMark};
+pub use circuit::{BoolRef, Circuit, CircuitMark, FxBuildHasher};
 pub use cnf::{Cnf, Lit, Var};
 pub use dimacs::{parse_dimacs, to_dimacs, ParseDimacsError};
 pub use incremental::{IncrementalSession, SessionStats};

@@ -87,6 +87,8 @@ pub struct Solver {
     heap: Vec<Var>,         // binary max-heap on activity
     heap_index: Vec<usize>, // var -> position in heap (usize::MAX if absent)
     seen: Vec<bool>,
+    /// Scratch space in which [`Solver::add_clause`] filters a clause.
+    clause_buf: Vec<Lit>,
     qhead: usize,
     ok: bool,
     conflicts: u64,
@@ -122,6 +124,7 @@ impl Solver {
             heap: Vec::new(),
             heap_index: Vec::new(),
             seen: Vec::new(),
+            clause_buf: Vec::new(),
             qhead: 0,
             ok: true,
             conflicts: 0,
@@ -214,39 +217,55 @@ impl Solver {
     ///
     /// Tautologies are silently dropped and duplicate literals removed. The
     /// solver must be at decision level 0 (which it always is between
-    /// `solve` calls).
+    /// `solve` calls). The clause is filtered in a reused buffer: the only
+    /// allocation is the stored clause's own.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) -> bool {
         if !self.ok {
             return false;
         }
         debug_assert_eq!(self.decision_level(), 0);
-        let mut clause: Vec<Lit> = lits.into_iter().collect();
+        let mut clause = std::mem::take(&mut self.clause_buf);
+        clause.clear();
+        clause.extend(lits);
+        let ok = self.add_filtered(&mut clause);
+        self.clause_buf = clause;
+        ok
+    }
+
+    /// [`Solver::add_clause`] on a clause collected into `clause`.
+    fn add_filtered(&mut self, clause: &mut Vec<Lit>) -> bool {
         clause.sort_unstable();
         clause.dedup();
-        // Tautology or satisfied-at-root detection; drop false literals.
-        let mut filtered = Vec::with_capacity(clause.len());
-        for (i, &l) in clause.iter().enumerate() {
+        // Tautology or satisfied-at-root detection; drop false literals,
+        // keeping the rest in place.
+        let mut kept = 0;
+        for i in 0..clause.len() {
+            let l = clause[i];
             if i + 1 < clause.len() && clause[i + 1] == !l {
                 return true; // tautology: contains l and !l adjacent after sort
             }
             match self.value(l) {
                 LBool::True => return true,
-                LBool::False => continue,
-                LBool::Undef => filtered.push(l),
+                LBool::False => {}
+                LBool::Undef => {
+                    clause[kept] = l;
+                    kept += 1;
+                }
             }
         }
-        match filtered.len() {
+        clause.truncate(kept);
+        match clause.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.unchecked_enqueue(filtered[0], None);
+                self.unchecked_enqueue(clause[0], None);
                 self.ok = self.propagate().is_none();
                 self.ok
             }
             _ => {
-                self.attach_clause(filtered);
+                self.attach_clause(clause.to_vec());
                 true
             }
         }

@@ -25,9 +25,9 @@
 //!
 //! 1. the memo table — a full [`Oracle::execute_all`] answer first (it may
 //!    be a cached error), then the verdict-only line;
-//! 2. the attached [`VerdictStore`] tier ([`Oracle::attach_persist`]: disk
-//!    log and/or remote shards), whose hits are memoized back with zeroed
-//!    solver counters — the solve happened elsewhere;
+//! 2. the attached [`VerdictStore`] tier ([`Oracle::attach_persist`]: the
+//!    disk log), whose hits are memoized back with zeroed solver counters —
+//!    the solve happened in an earlier process;
 //! 3. singleflight: concurrent identical queries (daemon workers, portfolio
 //!    entrants racing one candidate) wait for one leader and re-probe;
 //! 4. the leader solves with the strategy fixed at construction — the
@@ -530,7 +530,7 @@ impl Oracle {
             None => {
                 let store = self.persist.read().clone()?;
                 let verdict = store.lookup(key)?;
-                self.inject_verdict(key, verdict);
+                self.memoize_tier_hit(key, verdict);
                 self.persist_hits.fetch_add(1, Ordering::Relaxed);
                 if span.is_active() {
                     span.attr_bool("persist", true);
@@ -555,28 +555,10 @@ impl Oracle {
         }
     }
 
-    /// The memoized boolean verdict for `key`, answered from process
-    /// memory only (a cached error yields `None`: the verdict is genuinely
-    /// unknown). Never consults the tier and moves no counters: this is
-    /// the read side of the shard `/verdict` API, where recursing into an
-    /// attached remote tier would loop the cluster back onto itself.
-    pub fn probe_verdict(&self, key: Fingerprint) -> Option<bool> {
-        if !self.enabled {
-            return None;
-        }
-        self.memo_verdict(key).and_then(|(verdict, _)| verdict.ok())
-    }
-
-    /// Memoizes an externally computed verdict for `key` (the write side
-    /// of the shard `/verdict` API: a peer solved this fingerprint and is
-    /// pooling the answer). Stored with zeroed solver counters, exactly
-    /// like a tier hit; an existing memo is never overwritten — verdicts
-    /// are deterministic, so first-writer-wins is also every-writer-agrees.
-    /// No-op on a disabled oracle.
-    pub fn inject_verdict(&self, key: Fingerprint, verdict: bool) {
-        if !self.enabled {
-            return;
-        }
+    /// Memoizes a verdict the tier answered, with zeroed solver counters.
+    /// An existing memo is never overwritten: verdicts are deterministic,
+    /// so a concurrent solve that memoized first stored the same answer.
+    fn memoize_tier_hit(&self, key: Fingerprint, verdict: bool) {
         self.memoize(self.shard_of(key), key, |e| {
             if e.verdict.is_none() {
                 e.verdict = Some(Memo {
@@ -969,33 +951,6 @@ mod tests {
         let e2 = oracle.enumerate(&spec, &Formula::truth(), 3, 2).unwrap();
         assert_eq!(e1, e2);
         assert_eq!(oracle.stats().hits, 2);
-    }
-
-    #[test]
-    fn probe_and_inject_verdict_round_the_memo_table() {
-        let oracle = Oracle::new();
-        let spec = parse_spec(GOOD).unwrap();
-        let key = Oracle::fingerprint(&spec);
-        // Unknown fingerprints probe to None without touching counters.
-        assert_eq!(oracle.probe_verdict(key), None);
-        assert_eq!(oracle.stats(), OracleCacheStats::default());
-        // A solved verdict probes back out.
-        assert!(oracle.satisfies_oracle(&spec).unwrap());
-        assert_eq!(oracle.probe_verdict(key), Some(true));
-        // An injected (peer-pooled) verdict is served without a solve …
-        let peer_key = Oracle::fingerprint(&parse_spec(BAD).unwrap());
-        oracle.inject_verdict(peer_key, false);
-        assert_eq!(oracle.probe_verdict(peer_key), Some(false));
-        let solves = oracle.stats().solver_invocations;
-        assert!(!oracle.satisfies_oracle(&parse_spec(BAD).unwrap()).unwrap());
-        assert_eq!(oracle.stats().solver_invocations, solves, "memo hit");
-        // … and injection never overwrites an existing memo.
-        oracle.inject_verdict(key, false);
-        assert_eq!(oracle.probe_verdict(key), Some(true));
-        // A disabled oracle ignores both sides.
-        let disabled = Oracle::disabled();
-        disabled.inject_verdict(key, true);
-        assert_eq!(disabled.probe_verdict(key), None);
     }
 
     #[test]

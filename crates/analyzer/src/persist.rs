@@ -19,8 +19,6 @@
 //! simply answers `None` / ignores records. The oracle never sees an error
 //! from its persistent tier.
 
-use std::sync::Arc;
-
 use mualloy_syntax::Fingerprint;
 
 /// A durable fingerprint → verdict map (the persistent oracle cache tier).
@@ -31,119 +29,4 @@ pub trait VerdictStore: Send + Sync {
     /// Durably records a freshly computed verdict. Best-effort: errors are
     /// absorbed by the implementation (degradation, not propagation).
     fn record(&self, key: Fingerprint, verdict: bool);
-}
-
-/// An ordered composition of verdict tiers behind one `VerdictStore`
-/// handle: cheapest first (the local persistent log), most expensive last
-/// (a remote shard). This is how cluster mode layers the probe order
-/// *memo → local log → remote peer* — the oracle probes its in-memory memo
-/// itself, then hands the miss to this stack.
-///
-/// A hit at tier *i* is filled back into every cheaper tier (read repair),
-/// so a verdict fetched from a peer shard lands in the local log and the
-/// next process life answers it without the network. A record is written
-/// through to every tier, which is what pools freshly solved verdicts
-/// cluster-wide.
-///
-/// Because every tier only ever returns verdicts that a deterministic
-/// local solve would also compute, the composition preserves the
-/// byte-identity invariant: outputs match a tier-less run exactly.
-pub struct TieredStore {
-    tiers: Vec<Arc<dyn VerdictStore>>,
-}
-
-impl TieredStore {
-    /// A stack of tiers, probed in order.
-    pub fn new(tiers: Vec<Arc<dyn VerdictStore>>) -> TieredStore {
-        TieredStore { tiers }
-    }
-
-    /// Number of composed tiers.
-    pub fn depth(&self) -> usize {
-        self.tiers.len()
-    }
-}
-
-impl std::fmt::Debug for TieredStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TieredStore")
-            .field("depth", &self.depth())
-            .finish()
-    }
-}
-
-impl VerdictStore for TieredStore {
-    fn lookup(&self, key: Fingerprint) -> Option<bool> {
-        for (depth, tier) in self.tiers.iter().enumerate() {
-            if let Some(verdict) = tier.lookup(key) {
-                // Read repair: fill the cheaper tiers that missed.
-                for shallower in &self.tiers[..depth] {
-                    shallower.record(key, verdict);
-                }
-                return Some(verdict);
-            }
-        }
-        None
-    }
-
-    fn record(&self, key: Fingerprint, verdict: bool) {
-        for tier in &self.tiers {
-            tier.record(key, verdict);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::HashMap;
-    use std::sync::Mutex;
-
-    #[derive(Default)]
-    struct MapStore {
-        map: Mutex<HashMap<u128, bool>>,
-        lookups: Mutex<u64>,
-    }
-
-    impl VerdictStore for MapStore {
-        fn lookup(&self, key: Fingerprint) -> Option<bool> {
-            *self.lookups.lock().unwrap() += 1;
-            self.map.lock().unwrap().get(&key.0).copied()
-        }
-        fn record(&self, key: Fingerprint, verdict: bool) {
-            self.map.lock().unwrap().insert(key.0, verdict);
-        }
-    }
-
-    #[test]
-    fn probes_in_order_and_read_repairs_cheaper_tiers() {
-        let near = Arc::new(MapStore::default());
-        let far = Arc::new(MapStore::default());
-        far.record(Fingerprint(7), true);
-        let stack = TieredStore::new(vec![near.clone(), far.clone()]);
-        assert_eq!(stack.depth(), 2);
-        assert_eq!(stack.lookup(Fingerprint(7)), Some(true));
-        // The far hit was filled into the near tier …
-        assert_eq!(near.lookup(Fingerprint(7)), Some(true));
-        // … so the next stack lookup stops at the near tier.
-        let far_lookups = *far.lookups.lock().unwrap();
-        assert_eq!(stack.lookup(Fingerprint(7)), Some(true));
-        assert_eq!(*far.lookups.lock().unwrap(), far_lookups);
-        // A full miss probes every tier and answers None.
-        assert_eq!(stack.lookup(Fingerprint(8)), None);
-    }
-
-    #[test]
-    fn record_writes_through_every_tier() {
-        let near = Arc::new(MapStore::default());
-        let far = Arc::new(MapStore::default());
-        let stack = TieredStore::new(vec![near.clone(), far.clone()]);
-        stack.record(Fingerprint(3), false);
-        assert_eq!(near.lookup(Fingerprint(3)), Some(false));
-        assert_eq!(far.lookup(Fingerprint(3)), Some(false));
-        // An empty stack is inert but well-formed.
-        let empty = TieredStore::new(Vec::new());
-        empty.record(Fingerprint(1), true);
-        assert_eq!(empty.lookup(Fingerprint(1)), None);
-    }
 }

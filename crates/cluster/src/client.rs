@@ -1,8 +1,8 @@
 //! The tiny blocking HTTP/1.1 client shared across the workspace: the
-//! router forwards with it, [`crate::RemoteVerdictStore`] probes peers
-//! with it, and the load generator, CLI and integration tests drive
-//! daemons with it. One request per connection (`connection: close`), no
-//! async runtime — the same hand-rolled `std::net` stack as the server.
+//! router forwards and scrapes with it, and the load generator, CLI and
+//! integration tests drive daemons with it. One request per connection
+//! (`connection: close`), no async runtime — the same hand-rolled
+//! `std::net` stack as the server.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

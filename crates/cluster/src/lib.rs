@@ -1,35 +1,23 @@
 //! # specrepair-cluster
 //!
-//! Distributed oracle cluster primitives: N `specrepaird` processes shard
-//! the 128-bit canonical spec-fingerprint space and pool their verdict
-//! caches, so the huge, heavily overlapping candidate streams of
-//! BeAFix-style exhaustive search and LLM re-prompting loops are solved
-//! once cluster-wide instead of once per node.
+//! Cluster primitives for `specrepaird`: N shard daemons split the 128-bit
+//! canonical spec-fingerprint space, and a router sends each repair to the
+//! shard that owns its spec. Every repeat of a spec lands on the memo that
+//! solved it, so the shards need no verdict traffic between them.
 //!
-//! Three pieces, all deterministic:
+//! Two pieces, both deterministic:
 //!
 //! - [`ShardRing`] — consistent hashing with fixed per-node virtual points
 //!   seeded from the node id via SplitMix64. No RNG at lookup; the same
 //!   node list yields the same ring in every process, and removing a node
 //!   remaps only the keys that node owned.
 //! - [`client`] — the tiny blocking `std::net` HTTP/1.1 client shared by
-//!   the router, the remote store, the load generator and the tests (the
-//!   build environment is offline: no async runtime, no HTTP crate).
-//! - [`RemoteVerdictStore`] — the analyzer's `VerdictStore` seam over the
-//!   shard daemons' compact `GET/PUT /verdict/<fingerprint>` API, with a
-//!   per-shard call-count [`specrepair_faults::CallBreaker`] so a dead
-//!   peer degrades into local solving instead of hanging the pipeline.
-//!
-//! The invariant carried over from the single-node tiers: a remote verdict
-//! is only ever the output of the same deterministic solve a local miss
-//! would run, so cluster-mode artifacts stay byte-identical to single-node
-//! runs at any shard count.
+//!   the router, the load generator and the tests (the build environment
+//!   is offline: no async runtime, no HTTP crate).
 
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod remote;
 pub mod ring;
 
-pub use remote::{RemoteStats, RemoteVerdictStore};
 pub use ring::{ShardNode, ShardRing};

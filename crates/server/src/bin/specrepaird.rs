@@ -17,11 +17,11 @@
 //! ```
 //!
 //! `serve` runs the daemon in the foreground until `POST /shutdown` (or the
-//! shutdown file appears); with `--shard-id`/`--peers` it runs as one shard
-//! of a consistent-hash oracle cluster, exposing the verdict-exchange API.
-//! `route` runs the deterministic cluster front-end: it forwards each
-//! repair to the shard owning the spec's fingerprint, degrading to a local
-//! solve when that shard is down. `loadgen` drives a running daemon (or
+//! shutdown file appears); `--shard-id`/`--peers` name its place in a
+//! router's shard list, which it reports under `cluster` in `GET /metrics`
+//! and which changes nothing else. `route` runs the deterministic cluster
+//! front-end: it forwards each repair to the shard owning the spec's
+//! fingerprint, degrading to a local solve when that shard is down. `loadgen` drives a running daemon (or
 //! router) and exits nonzero if any response was outside the expected set
 //! (200/503/504); `--profile zipfian` generates a multi-tenant rank-skewed
 //! workload, and `--shards` makes the report read per-shard hit rates.

@@ -9,10 +9,16 @@
 //! unbounded latency. Shutdown (via `POST /shutdown` or a signal file) is
 //! graceful — the acceptor stops admitting, workers drain what was already
 //! queued, then everything joins.
+//!
+//! The acceptor blocks in `accept`, so a new connection is taken the
+//! moment it arrives. [`Admission::begin_drain`] wakes it with one
+//! loopback connection to the listener. Idle workers check the signal
+//! file each time their 100 ms wait for work runs out, so a daemon whose
+//! workers never idle notices the file once the load lets up.
 
 use std::collections::VecDeque;
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -26,8 +32,17 @@ use crate::metrics::ServerMetrics;
 /// connection before closing it.
 const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(2);
 
-/// Acceptor poll interval while the listener has nothing to accept.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long an idle worker waits for a queued connection before it checks
+/// the shutdown signal file.
+const IDLE_WAIT: Duration = Duration::from_millis(100);
+
+/// Pause after a failed `accept` (say, out of file descriptors), so the
+/// acceptor cannot spin on an error that persists.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Connect timeout of the drain's wake-up connection. Loopback connects
+/// land at once; the timeout only bounds a listener that is already gone.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// The admission machinery every engine-driven daemon embeds: the bounded
 /// connection queue, the drain flag and the optional shutdown signal file.
@@ -37,28 +52,70 @@ pub(crate) struct Admission {
     queue_capacity: usize,
     draining: AtomicBool,
     shutdown_file: Option<PathBuf>,
+    /// Where the drain connects to wake the acceptor: the listener's
+    /// address, on loopback when it is bound to every interface.
+    wake_addr: SocketAddr,
 }
 
 impl Admission {
-    pub(crate) fn new(queue_capacity: usize, shutdown_file: Option<PathBuf>) -> Admission {
+    pub(crate) fn new(
+        queue_capacity: usize,
+        shutdown_file: Option<PathBuf>,
+        listener_addr: SocketAddr,
+    ) -> Admission {
+        let mut wake_addr = listener_addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         Admission {
             queue: Mutex::new(VecDeque::new()),
             queue_cond: Condvar::new(),
             queue_capacity: queue_capacity.max(1),
             draining: AtomicBool::new(false),
             shutdown_file,
+            wake_addr,
         }
     }
 
     /// Initiates graceful shutdown (idempotent): stop admitting, wake
-    /// every worker so the drain check runs even on an empty queue.
+    /// every worker so the drain check runs even on an empty queue, and
+    /// wake the acceptor out of `accept` with one loopback connection,
+    /// which it drops. The connect is best effort: a listener that is
+    /// already closed needs no waking.
     pub(crate) fn begin_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
         self.queue_cond.notify_all();
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
     }
 
     pub(crate) fn is_draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
+    }
+
+    /// The next queued connection, or `None` once draining has emptied the
+    /// queue. An idle wait that runs out checks the shutdown signal file.
+    fn next_connection(&self, metrics: &ServerMetrics) -> Option<TcpStream> {
+        let mut queue = self.queue.lock().unwrap();
+        loop {
+            if let Some(stream) = queue.pop_front() {
+                metrics.queue_depth_add(-1);
+                return Some(stream);
+            }
+            if self.is_draining() {
+                return None;
+            }
+            let (guard, wait) = self.queue_cond.wait_timeout(queue, IDLE_WAIT).unwrap();
+            queue = guard;
+            // `begin_drain` takes no lock, so it is safe under the queue's.
+            if wait.timed_out() && self.shutdown_file.as_ref().is_some_and(|p| p.exists()) {
+                self.begin_drain();
+            }
+        }
     }
 }
 
@@ -101,28 +158,16 @@ pub(crate) fn spawn_threads<A: HttpApp>(
 
 fn accept_loop<A: HttpApp>(listener: &TcpListener, app: &Arc<A>) {
     let admission = app.admission();
-    // The signal file is polled on a coarser cadence than the listener.
-    let mut polls_until_file_check = 0u32;
     loop {
+        let accepted = listener.accept();
+        // Once draining, whatever `accept` returned (the drain's wake-up
+        // connection, most likely) is dropped unserved.
         if admission.is_draining() {
             break;
         }
-        if polls_until_file_check == 0 {
-            polls_until_file_check = 10;
-            if let Some(path) = &admission.shutdown_file {
-                if path.exists() {
-                    admission.begin_drain();
-                    break;
-                }
-            }
-        }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => admit(app, stream),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                polls_until_file_check = polls_until_file_check.saturating_sub(1);
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
     admission.queue_cond.notify_all();
@@ -162,26 +207,7 @@ fn shed(stream: TcpStream) {
 }
 
 fn worker_loop<A: HttpApp>(app: &Arc<A>) {
-    let admission = app.admission();
-    loop {
-        let next = {
-            let mut queue = admission.queue.lock().unwrap();
-            loop {
-                if let Some(stream) = queue.pop_front() {
-                    app.metrics().queue_depth_add(-1);
-                    break Some(stream);
-                }
-                if admission.is_draining() {
-                    break None;
-                }
-                let (guard, _) = admission
-                    .queue_cond
-                    .wait_timeout(queue, Duration::from_millis(100))
-                    .unwrap();
-                queue = guard;
-            }
-        };
-        let Some(stream) = next else { return };
+    while let Some(stream) = app.admission().next_connection(app.metrics()) {
         app.metrics().inflight_add(1);
         handle_connection(app, stream);
         app.metrics().inflight_add(-1);
@@ -220,5 +246,53 @@ fn handle_connection<A: HttpApp>(app: &Arc<A>, stream: TcpStream) {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// An app that answers every request with an empty object.
+    struct Idle {
+        admission: Admission,
+        metrics: ServerMetrics,
+    }
+
+    impl HttpApp for Idle {
+        fn admission(&self) -> &Admission {
+            &self.admission
+        }
+
+        fn metrics(&self) -> &ServerMetrics {
+            &self.metrics
+        }
+
+        fn route(self: &Arc<Self>, _request: &Request) -> Response {
+            Response::json(200, "{}")
+        }
+    }
+
+    #[test]
+    fn drain_wakes_an_acceptor_bound_to_every_interface() {
+        let listener = TcpListener::bind("0.0.0.0:0").expect("binding an ephemeral port");
+        let app = Arc::new(Idle {
+            admission: Admission::new(1, None, listener.local_addr().unwrap()),
+            metrics: ServerMetrics::new(),
+        });
+        let (acceptor, workers) = spawn_threads(listener, 1, "engine-test", &app);
+        app.admission.begin_drain();
+        let (done, joined) = mpsc::channel();
+        std::thread::spawn(move || {
+            acceptor.join().unwrap();
+            for worker in workers {
+                worker.join().unwrap();
+            }
+            done.send(()).unwrap();
+        });
+        joined
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the drain woke the acceptor out of accept");
     }
 }

@@ -20,12 +20,12 @@
 //! bundled [`loadgen`] drives a running daemon for smoke tests and
 //! capacity checks.
 //!
-//! The daemon also scales out: `specrepaird serve --shard-id N --peers …`
-//! runs it as one shard of a consistent-hash oracle cluster (adding the
-//! compact `GET`/`PUT /verdict/<fingerprint>` shard API), and
-//! `specrepaird route --shards …` runs the deterministic [`router`] that
-//! forwards each repair to the shard owning its spec fingerprint —
-//! degrading to a local solve when that shard is down.
+//! The daemon also scales out: `specrepaird route --shards …` runs the
+//! deterministic [`router`] that forwards each repair to the shard owning
+//! its spec fingerprint, so every repeat of a spec reaches the memo that
+//! solved it, and degrades to a local solve when that shard is down. A
+//! shard is a plain daemon; `serve --shard-id N --peers …` only adds its
+//! place in the peer list to `/metrics`.
 //!
 //! Module map: [`http`] wire parsing · [`service`] request→repair→response
 //! · [`engine`] threads, queue, shutdown · [`server`] the daemon/shard ·

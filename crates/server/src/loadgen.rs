@@ -17,8 +17,7 @@
 //! config, so reruns replay byte-identical request streams.
 //!
 //! Against a cluster (`--shards a,b,c`) the generator reads every shard's
-//! `/metrics` after the run and reports per-shard and aggregate hit rates
-//! plus the remote verdict traffic.
+//! `/metrics` after the run and reports per-shard and aggregate hit rates.
 
 use std::net::TcpStream;
 use std::sync::mpsc;
@@ -30,7 +29,7 @@ use specrepair_cluster::client::connect_with_retry;
 use specrepair_core::CancelToken;
 use specrepair_mutation::{inject_fault, InjectorConfig};
 use specrepair_study::TechniqueId;
-use specrepair_telemetry::{ClusterSection, Snapshot};
+use specrepair_telemetry::Snapshot;
 
 use crate::metrics::Histogram;
 use crate::server::roundtrip;
@@ -127,10 +126,6 @@ pub struct ShardReading {
     pub misses: u64,
     /// The shard's own hit rate.
     pub hit_rate: f64,
-    /// Verdicts this shard fetched from peers (`cluster.remote_hits`).
-    pub remote_hits: Option<u64>,
-    /// Verdicts this shard pushed to peers (`cluster.remote_puts`).
-    pub remote_puts: Option<u64>,
 }
 
 /// The outcome of one load-generation run.
@@ -188,12 +183,6 @@ pub struct LoadgenReport {
     /// `cache_hit_rate` is the *aggregate* over these shards — summed hits
     /// over summed lookups, not a mean of rates.
     pub per_shard: Vec<ShardReading>,
-    /// Cluster-wide verdicts fetched from remote peers (summed
-    /// `cluster.remote_hits`; cluster mode only).
-    pub remote_hits: Option<u64>,
-    /// Cluster-wide verdicts pushed to remote peers (summed
-    /// `cluster.remote_puts`; cluster mode only).
-    pub remote_puts: Option<u64>,
 }
 
 impl LoadgenReport {
@@ -276,23 +265,19 @@ impl LoadgenReport {
         }
         if !self.per_shard.is_empty() {
             text.push_str(&format!(
-                "\ncluster: aggregate hit rate {}, {} remote hits, {} remote puts",
+                "\ncluster: aggregate hit rate {}",
                 match self.cache_hit_rate {
                     Some(rate) => format!("{:.1}%", rate * 100.0),
                     None => "unavailable".to_string(),
                 },
-                self.remote_hits.unwrap_or(0),
-                self.remote_puts.unwrap_or(0),
             ));
             for shard in &self.per_shard {
                 text.push_str(&format!(
-                    "\n  shard {}: {:.1}% hit rate ({} hits / {} misses), remote {} hits / {} puts",
+                    "\n  shard {}: {:.1}% hit rate ({} hits / {} misses)",
                     shard.addr,
                     shard.hit_rate * 100.0,
                     shard.hits,
                     shard.misses,
-                    shard.remote_hits.unwrap_or(0),
-                    shard.remote_puts.unwrap_or(0),
                 ));
             }
         }
@@ -481,8 +466,6 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
         metrics_fetch_failures: 0,
         metrics_fetch_retries,
         per_shard: Vec::new(),
-        remote_hits: None,
-        remote_puts: None,
     };
     for (status, micros) in rx {
         report.total += 1;
@@ -525,17 +508,12 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
     // hits over summed lookups, so a hot shard cannot hide a cold one.
     if !config.shards.is_empty() {
         let (mut hits_sum, mut misses_sum) = (0u64, 0u64);
-        let (mut remote_hits, mut remote_puts) = (0u64, 0u64);
-        let mut any = false;
         for addr in &config.shards {
             match read_shard(addr) {
                 Ok((reading, retries)) => {
                     report.metrics_fetch_retries += retries;
                     hits_sum += reading.hits;
                     misses_sum += reading.misses;
-                    remote_hits += reading.remote_hits.unwrap_or(0);
-                    remote_puts += reading.remote_puts.unwrap_or(0);
-                    any = true;
                     report.per_shard.push(reading);
                 }
                 Err(why) => {
@@ -543,10 +521,6 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
                     report.metrics_fetch_failures += 1;
                 }
             }
-        }
-        if any {
-            report.remote_hits = Some(remote_hits);
-            report.remote_puts = Some(remote_puts);
         }
         report.cache_hit_rate = if hits_sum + misses_sum > 0 {
             Some(hits_sum as f64 / (hits_sum + misses_sum) as f64)
@@ -586,19 +560,11 @@ fn aggregate_shard_hit_rate(shards: &[String]) -> (Option<f64>, usize) {
 fn read_shard(addr: &str) -> Result<(ShardReading, usize), String> {
     let (body, retries) = fetch_metrics_counting(addr)?;
     let snapshot = Snapshot::from_json(&body)?;
-    // A non-shard `cluster` section (a daemon booted without peers) simply
-    // has no remote-tier counters to report.
-    let (remote_hits, remote_puts) = match &snapshot.cluster {
-        ClusterSection::Shard(shard) => (Some(shard.remote_hits), Some(shard.remote_puts)),
-        _ => (None, None),
-    };
     let reading = ShardReading {
         addr: addr.to_string(),
         hits: snapshot.oracle_cache.hits,
         misses: snapshot.oracle_cache.misses,
         hit_rate: snapshot.oracle_cache.hit_rate,
-        remote_hits,
-        remote_puts,
     };
     Ok((reading, retries))
 }
@@ -683,6 +649,7 @@ pub fn fetch_metrics_counting(addr: &str) -> Result<(String, usize), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specrepair_telemetry::ClusterSection;
 
     #[test]
     fn bodies_are_deterministic_and_rotate_techniques() {
@@ -748,8 +715,6 @@ mod tests {
             metrics_fetch_failures: 0,
             metrics_fetch_retries: 0,
             per_shard: Vec::new(),
-            remote_hits: None,
-            remote_puts: None,
         };
         assert!(report.clean());
         assert!((report.throughput() - 5.0).abs() < 1e-9);
@@ -786,8 +751,6 @@ mod tests {
             metrics_fetch_failures: 1,
             metrics_fetch_retries: 3,
             per_shard: Vec::new(),
-            remote_hits: None,
-            remote_puts: None,
         };
         let text = report.render();
         assert!(
@@ -891,17 +854,10 @@ mod tests {
                 hits: 6,
                 misses: 6,
                 hit_rate: 0.5,
-                remote_hits: Some(2),
-                remote_puts: Some(3),
             }],
-            remote_hits: Some(2),
-            remote_puts: Some(3),
         };
         let text = report.render();
-        assert!(
-            text.contains("cluster: aggregate hit rate 50.0%, 2 remote hits, 3 remote puts"),
-            "{text}"
-        );
+        assert!(text.contains("cluster: aggregate hit rate 50.0%"), "{text}");
         assert!(
             text.contains("shard 127.0.0.1:7971: 50.0% hit rate (6 hits / 6 misses)"),
             "{text}"
@@ -924,7 +880,7 @@ mod tests {
     fn snapshot_decoder_reads_every_reconciliation_field() {
         let body = metrics_body(
             r#"{"enabled":false}"#,
-            r#"{"enabled":true,"role":"shard","remote_hits":2,"remote_puts":3}"#,
+            r#"{"enabled":true,"role":"shard","shard_id":2,"peers":3}"#,
         );
         let snapshot = Snapshot::from_json(&body).unwrap();
         assert_eq!(snapshot.oracle_cache.hits, 6);
@@ -937,12 +893,10 @@ mod tests {
         // Without `--cache-dir` the tier renders `enabled: false`: the
         // typed decoder reports "off" as `None`, not an error.
         assert_eq!(snapshot.persistent, None);
-        // The shard cluster section carries the remote-tier counters the
-        // per-shard report reads.
+        // The shard cluster section carries the shard's identity.
         match &snapshot.cluster {
             ClusterSection::Shard(shard) => {
-                assert_eq!(shard.remote_hits, 2);
-                assert_eq!(shard.remote_puts, 3);
+                assert_eq!((shard.shard_id, shard.peers), (2, 3));
             }
             other => panic!("expected a shard cluster section, got {other:?}"),
         }

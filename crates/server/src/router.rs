@@ -3,11 +3,11 @@
 //! The router owns no verdicts. It parses just enough of each `/repair`
 //! body to compute the spec's canonical fingerprint, asks the shared
 //! [`ShardRing`] which shard owns it, and forwards the raw body there —
-//! the shard's response is relayed byte-for-byte. Verdict probes
-//! (`GET`/`PUT /verdict/<fp>`) forward the same way. Routing is a pure
-//! function of (ordered shard list, request body): two routers given the
-//! same `--shards` list make identical decisions, so clients can sit
-//! behind any of them.
+//! the shard's response is relayed byte-for-byte. Every repeat of a spec
+//! therefore reaches the shard whose memo solved it, which is all the
+//! sharing the shards need. Routing is a pure function of (ordered shard
+//! list, request body): two routers given the same `--shards` list make
+//! identical decisions, so clients can sit behind any of them.
 //!
 //! Failure handling mirrors the persistent tier's discipline: one retry on
 //! transport error, a per-shard [`CallBreaker`] that stops hammering a
@@ -168,7 +168,6 @@ pub fn spawn_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
     }
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     let state = Arc::new(RouterState {
         ring: ShardRing::from_addrs(&config.shards),
@@ -182,7 +181,7 @@ pub fn spawn_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
             },
         ),
         metrics: ServerMetrics::new(),
-        admission: Admission::new(config.queue_capacity, config.shutdown_file.clone()),
+        admission: Admission::new(config.queue_capacity, config.shutdown_file.clone(), addr),
         breakers: config
             .shards
             .iter()
@@ -218,16 +217,10 @@ fn repair_routing_key(body: &str) -> Option<Fingerprint> {
     Some(Oracle::fingerprint(&spec))
 }
 
-/// Forwards one call to shard `index`, retrying once on transport error
-/// and feeding the shard's breaker. `None` means the shard is unreachable
-/// (or its breaker is open) and the caller should degrade.
-fn forward(
-    state: &RouterState,
-    index: usize,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> Option<(u16, String)> {
+/// Forwards one `/repair` body to shard `index`, retrying once on
+/// transport error and feeding the shard's breaker. `None` means the shard
+/// is unreachable (or its breaker is open) and the caller should degrade.
+fn forward(state: &RouterState, index: usize, body: &str) -> Option<(u16, String)> {
     if !state.breakers[index].allow() {
         state.skipped_open.fetch_add(1, Ordering::Relaxed);
         return None;
@@ -235,7 +228,7 @@ fn forward(
     let addr = &state.ring.nodes()[index].addr;
     let counters = &state.shards[index];
     for attempt in 0..2 {
-        match client::call(addr, method, path, body, FORWARD_TIMEOUT) {
+        match client::call(addr, "POST", "/repair", body, FORWARD_TIMEOUT) {
             Ok(reply) => {
                 state.breakers[index].success();
                 counters.forwarded.fetch_add(1, Ordering::Relaxed);
@@ -283,7 +276,7 @@ fn route_repair(state: &RouterState, body: &str) -> Response {
         return local_repair(state, body);
     };
     let owner = state.ring.owner_index(key);
-    match forward(state, owner, "POST", "/repair", body) {
+    match forward(state, owner, body) {
         // Byte-for-byte relay of whatever the shard answered, errors
         // included: the router adds routing, not interpretation.
         Some((status, text)) => Response::json(status, text),
@@ -292,49 +285,6 @@ fn route_repair(state: &RouterState, body: &str) -> Response {
             local_repair(state, body)
         }
     }
-}
-
-/// `GET /verdict/<fp>` through the router: forwarded to the owner; when
-/// the owner is down the router's own memo is the only fallback (usually a
-/// 404 — the router solves only degraded repairs).
-fn route_verdict_get(state: &RouterState, hex: &str) -> Response {
-    let Some(key) = crate::server::parse_fingerprint(hex) else {
-        return Response::error(400, "malformed fingerprint (want 32 hex digits)");
-    };
-    let owner = state.ring.owner_index(key);
-    if let Some(reply) = forward(state, owner, "GET", &format!("/verdict/{key}"), "") {
-        let (status, text) = reply;
-        return Response::json(status, text);
-    }
-    state.degraded_local_solves.fetch_add(1, Ordering::Relaxed);
-    match state.local.oracle().service().probe_verdict(key) {
-        Some(verdict) => Response::json(
-            200,
-            format!("{{\"verdict\":{verdict},\"source\":\"degraded\"}}"),
-        ),
-        None => Response::error(404, "unknown fingerprint (owner unreachable)"),
-    }
-}
-
-/// `PUT /verdict/<fp>` through the router: forwarded to the owner; when
-/// the owner is down the verdict lands in the router's own memo so the
-/// degraded repair path can still use it.
-fn route_verdict_put(state: &RouterState, hex: &str, body: &str) -> Response {
-    let Some(key) = crate::server::parse_fingerprint(hex) else {
-        return Response::error(400, "malformed fingerprint (want 32 hex digits)");
-    };
-    let verdict = match body.trim() {
-        "1" | "true" => true,
-        "0" | "false" => false,
-        _ => return Response::error(400, "verdict body must be 0 or 1"),
-    };
-    let owner = state.ring.owner_index(key);
-    if let Some((status, text)) = forward(state, owner, "PUT", &format!("/verdict/{key}"), body) {
-        return Response::json(status, text);
-    }
-    state.degraded_local_solves.fetch_add(1, Ordering::Relaxed);
-    state.local.oracle().service().inject_verdict(key, verdict);
-    Response::json(200, "{\"stored\":true,\"degraded\":true}")
 }
 
 /// The typed `cluster` section of the router's `/metrics`.
@@ -451,14 +401,6 @@ fn route(state: &Arc<RouterState>, request: &Request) -> Response {
         ),
         ("GET", "/cluster/metrics") => ("cluster_metrics", cluster_metrics(state)),
         ("POST", "/repair") => ("repair", route_repair(state, &request.body_text())),
-        ("GET", path) if path.starts_with("/verdict/") => (
-            "verdict",
-            route_verdict_get(state, &path["/verdict/".len()..]),
-        ),
-        ("PUT", path) if path.starts_with("/verdict/") => (
-            "verdict",
-            route_verdict_put(state, &path["/verdict/".len()..], &request.body_text()),
-        ),
         ("POST", "/shutdown") => {
             state.admission.begin_drain();
             ("shutdown", Response::json(200, "{\"status\":\"draining\"}"))
@@ -468,10 +410,6 @@ fn route(state: &Arc<RouterState>, request: &Request) -> Response {
             "/healthz" | "/techniques" | "/metrics" | "/metrics/prom" | "/cluster/metrics"
             | "/repair" | "/shutdown",
         ) => (
-            "http",
-            Response::error(405, &format!("{} not allowed here", request.method)),
-        ),
-        (_, path) if path.starts_with("/verdict/") => (
             "http",
             Response::error(405, &format!("{} not allowed here", request.method)),
         ),

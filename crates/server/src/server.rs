@@ -2,27 +2,21 @@
 //! shared [engine](crate::engine) (blocking acceptor, bounded admission
 //! queue, fixed worker pool over `std::net`).
 //!
-//! Besides the repair API the daemon can run as one **shard** of a
-//! consistent-hash oracle cluster (`--shard-id N --peers a,b,c`): it then
-//! exposes the compact `GET`/`PUT /verdict/<fingerprint>` shard API and
-//! composes its oracle's persistent tier as *local log → remote peers*, so
-//! a verdict any shard solved once is answered cluster-wide without a
-//! second SAT solve. Remote verdicts are only ever verdicts a deterministic
-//! local solve would also produce, so shard mode changes latency, never
-//! bytes.
+//! A daemon booted with `--shard-id N --peers a,b,c` is one shard behind a
+//! [router](crate::router). It serves exactly like a plain daemon, and
+//! only reports its place in the peer list under `cluster` in `/metrics`.
+//! The router sends every repeat of a spec to the same shard, so that
+//! shard's own memo answers it: the shards exchange nothing.
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use mualloy_analyzer::{TieredStore, VerdictStore};
-use mualloy_syntax::Fingerprint;
 use specrepair_cache::PersistentCache;
-use specrepair_cluster::{RemoteVerdictStore, ShardRing};
 use specrepair_core::OracleHandle;
 use specrepair_faults::DiskFaultPlan;
-use specrepair_telemetry::{ClusterSection, History, Snapshot};
+use specrepair_telemetry::{ClusterSection, History, ShardClusterSection, Snapshot};
 
 use crate::engine::{self, Admission, HttpApp};
 use crate::http::{Request, Response};
@@ -37,10 +31,9 @@ pub use specrepair_cluster::client::{read_response, roundtrip};
 pub struct ShardConfig {
     /// This daemon's index into [`ShardConfig::peers`].
     pub shard_id: usize,
-    /// The ordered `host:port` list of every shard (including this one).
-    /// The list *is* the cluster membership: every shard and the router
-    /// derive the same [`ShardRing`] from it, with the address as the node
-    /// identity.
+    /// The ordered `host:port` list of every shard (including this one),
+    /// the same list the router is booted with: the router derives its
+    /// [`ShardRing`](specrepair_cluster::ShardRing) from it.
     pub peers: Vec<String>,
 }
 
@@ -83,8 +76,8 @@ pub struct ServerConfig {
     pub disk_chaos_rate: f64,
     /// Base seed for the disk fault schedule.
     pub disk_chaos_seed: u64,
-    /// Cluster-shard mode: this daemon's identity in the shared peer list.
-    /// `None` (the default) runs a plain single-node daemon.
+    /// Cluster-shard identity, reported in `/metrics`. `None` (the default)
+    /// reports cluster mode off; either way the daemon serves the same.
     pub shard: Option<ShardConfig>,
     /// Metrics-history sampling interval in milliseconds; `0` (the
     /// default) disables the time-series ring and `GET /metrics/history`.
@@ -132,10 +125,8 @@ struct ServerState {
     /// here (besides the oracle's trait handle) for `/metrics` snapshots
     /// and the drain-time seal.
     persist: Option<Arc<PersistentCache>>,
-    /// The remote-peer verdict tier, in shard mode. Held for `/metrics`.
-    remote: Option<Arc<RemoteVerdictStore>>,
-    /// Shard identity, in shard mode.
-    shard: Option<ShardConfig>,
+    /// The `cluster` section of `/metrics`: the shard identity, or off.
+    cluster: ClusterSection,
     /// The metrics time-series ring, when history sampling is on.
     history: Option<Arc<History>>,
 }
@@ -229,7 +220,6 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     }
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     let mut oracle = if config.cache_per_shard == 0 {
         OracleHandle::fresh()
@@ -258,27 +248,8 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
             }
         }
     };
-    // In shard mode, peers form a remote verdict tier behind the local one.
-    let remote = config.shard.as_ref().map(|shard| {
-        Arc::new(RemoteVerdictStore::new(
-            ShardRing::from_addrs(&shard.peers),
-            Some(shard.peers[shard.shard_id].clone()),
-        ))
-    });
-    // Compose the oracle's persistent seam: probe order is always
-    // memo (inside the oracle) → local log → remote peers, with read
-    // repair filling the local log on remote hits.
-    let store: Option<Arc<dyn VerdictStore>> = match (&persist, &remote) {
-        (Some(local), Some(remote)) => Some(Arc::new(TieredStore::new(vec![
-            Arc::clone(local) as Arc<dyn VerdictStore>,
-            Arc::clone(remote) as Arc<dyn VerdictStore>,
-        ]))),
-        (Some(local), None) => Some(Arc::clone(local) as Arc<dyn VerdictStore>),
-        (None, Some(remote)) => Some(Arc::clone(remote) as Arc<dyn VerdictStore>),
-        (None, None) => None,
-    };
-    if let Some(store) = store {
-        oracle = oracle.with_persistent(store);
+    if let Some(persist) = &persist {
+        oracle = oracle.with_persistent(persist.clone());
     }
     if config.trace {
         specrepair_trace::set_enabled(true);
@@ -296,10 +267,15 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         metrics: ServerMetrics::new(),
         trace: TraceTotals::new(),
         trace_enabled: config.trace,
-        admission: Admission::new(config.queue_capacity, config.shutdown_file.clone()),
+        admission: Admission::new(config.queue_capacity, config.shutdown_file.clone(), addr),
         persist,
-        remote,
-        shard: config.shard.clone(),
+        cluster: match &config.shard {
+            Some(shard) => ClusterSection::Shard(ShardClusterSection {
+                shard_id: shard.shard_id as u64,
+                peers: shard.peers.len() as u64,
+            }),
+            None => ClusterSection::Off,
+        },
         history: (config.metrics_history_interval_ms > 0).then(|| {
             Arc::new(History::new(
                 config.metrics_history_capacity,
@@ -351,79 +327,6 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-/// Parses the `<32 hex digits>` tail of a `/verdict/` path into the
-/// canonical 128-bit fingerprint.
-pub(crate) fn parse_fingerprint(hex: &str) -> Option<Fingerprint> {
-    if hex.len() != 32 {
-        return None;
-    }
-    u128::from_str_radix(hex, 16).ok().map(Fingerprint)
-}
-
-/// `GET /verdict/<fp>`: answers strictly from **local** knowledge — the
-/// in-memory memo first, then the local persistent log — never from the
-/// remote tier, so two shards probing each other can never recurse. A disk
-/// hit is injected into the memo so the next probe is memory-speed.
-fn verdict_get(state: &Arc<ServerState>, hex: &str) -> Response {
-    let Some(key) = parse_fingerprint(hex) else {
-        return Response::error(400, "malformed fingerprint (want 32 hex digits)");
-    };
-    let oracle = state.service.oracle().service();
-    if let Some(verdict) = oracle.probe_verdict(key) {
-        return Response::json(
-            200,
-            format!("{{\"verdict\":{verdict},\"source\":\"memo\"}}"),
-        );
-    }
-    if let Some(persist) = &state.persist {
-        if let Some(verdict) = persist.lookup(key) {
-            oracle.inject_verdict(key, verdict);
-            return Response::json(
-                200,
-                format!("{{\"verdict\":{verdict},\"source\":\"disk\"}}"),
-            );
-        }
-    }
-    Response::error(404, "unknown fingerprint")
-}
-
-/// `PUT /verdict/<fp>` with the compact body `"1"`/`"0"`: write-through
-/// from a peer that just solved the key this shard owns. Stored in the memo
-/// (never overwriting an existing entry) and the local log only — no
-/// forwarding, for the same no-recursion reason as the probe.
-fn verdict_put(state: &Arc<ServerState>, hex: &str, body: &str) -> Response {
-    let Some(key) = parse_fingerprint(hex) else {
-        return Response::error(400, "malformed fingerprint (want 32 hex digits)");
-    };
-    let verdict = match body.trim() {
-        "1" | "true" => true,
-        "0" | "false" => false,
-        _ => return Response::error(400, "verdict body must be 0 or 1"),
-    };
-    state
-        .service
-        .oracle()
-        .service()
-        .inject_verdict(key, verdict);
-    if let Some(persist) = &state.persist {
-        persist.record(key, verdict);
-    }
-    Response::json(200, "{\"stored\":true}")
-}
-
-/// The `cluster` section of `/metrics`: the shard's remote-tier view in
-/// shard mode, `Off` otherwise.
-fn cluster_section(state: &ServerState) -> ClusterSection {
-    match (&state.remote, &state.shard) {
-        (Some(remote), Some(shard)) => ClusterSection::Shard(remote.stats().cluster_section(
-            shard.shard_id,
-            remote.ring().len(),
-            remote.open_breakers(),
-        )),
-        _ => ClusterSection::Off,
-    }
-}
-
 /// Assembles the daemon's full typed metrics snapshot — the single source
 /// behind `/metrics`, `/metrics/prom`, the history sampler and the
 /// router's fleet scrape.
@@ -437,7 +340,7 @@ fn full_snapshot(state: &ServerState) -> Snapshot {
         &oracle.incremental_stats(),
         state.service.transport_stats(),
         persist.as_ref(),
-        cluster_section(state),
+        state.cluster.clone(),
     )
 }
 
@@ -503,13 +406,6 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
             }
             ("repair", handled.response)
         }
-        ("GET", path) if path.starts_with("/verdict/") => {
-            ("verdict", verdict_get(state, &path["/verdict/".len()..]))
-        }
-        ("PUT", path) if path.starts_with("/verdict/") => (
-            "verdict",
-            verdict_put(state, &path["/verdict/".len()..], &request.body_text()),
-        ),
         ("POST", "/shutdown") => {
             state.admission.begin_drain();
             ("shutdown", Response::json(200, "{\"status\":\"draining\"}"))
@@ -519,10 +415,6 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
             "/healthz" | "/techniques" | "/metrics" | "/metrics/prom" | "/metrics/history"
             | "/trace/summary" | "/repair" | "/shutdown",
         ) => (
-            "http",
-            Response::error(405, &format!("{} not allowed here", request.method)),
-        ),
-        (_, path) if path.starts_with("/verdict/") => (
             "http",
             Response::error(405, &format!("{} not allowed here", request.method)),
         ),

@@ -4,7 +4,7 @@
 //! study <all|table1|fig2|fig3|table2|ablation|portfolio> [--scale X]
 //!       [--seed N] [--out DIR] [--journal FILE] [--resume]
 //!       [--fault-rate R] [--fault-seed N] [--roster NAME] [--workers N]
-//!       [--trace DIR] [--cache-dir DIR] [--no-cache] [--shards a,b,c]
+//!       [--trace DIR] [--cache-dir DIR] [--no-cache]
 //! ```
 //!
 //! `--scale 1.0` evaluates the full 1,974-spec corpus (the paper's size);
@@ -25,14 +25,6 @@
 //! are byte-identical with `--cache-dir`, without it, and with
 //! `--no-cache` (which disables oracle memoization entirely — the
 //! slowest, most-direct baseline).
-//!
-//! `--shards a,b,c` points the run at a consistent-hash oracle cluster of
-//! `specrepaird` shard daemons: verdict misses are probed on (and fresh
-//! verdicts written through to) the shard owning each spec fingerprint,
-//! layered *behind* the local `--cache-dir` log when both are given.
-//! Like the local tier, the cluster is behaviorally inert — remote
-//! verdicts equal what the local solver would compute, so artifacts stay
-//! byte-identical.
 //!
 //! `--trace DIR` turns on the span collector for the whole run and writes
 //! the trace artifacts to DIR afterwards: `trace.json` (Chrome trace-event
@@ -72,7 +64,6 @@ fn main() {
     let mut trace_dir: Option<PathBuf> = None;
     let mut cache_dir: Option<PathBuf> = None;
     let mut use_cache = true;
-    let mut shards: Vec<String> = Vec::new();
 
     let mut i = 0;
     while i < args.len() {
@@ -120,20 +111,6 @@ fn main() {
                     args.get(i)
                         .unwrap_or_else(|| die("--cache-dir needs a directory")),
                 ));
-            }
-            "--shards" => {
-                i += 1;
-                shards = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--shards needs a comma-separated address list"))
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect();
-                if shards.is_empty() {
-                    die("--shards needs at least one address");
-                }
             }
             "--portfolio" => command = "portfolio".to_string(),
             "--roster" => {
@@ -295,32 +272,9 @@ fn main() {
                     None
                 }
             });
-    // The remote cluster tier: probe/write-through against the shard
-    // owning each fingerprint. Layered behind the local log when both are
-    // configured, so the probe order stays memo → local log → cluster.
-    let remote_store = if shards.is_empty() {
-        None
-    } else {
-        eprintln!(
-            "remote verdict cluster: {} shard(s) on the consistent-hash ring",
-            shards.len()
-        );
-        Some(std::sync::Arc::new(
-            specrepair_cluster::RemoteVerdictStore::new(
-                specrepair_cluster::ShardRing::from_addrs(&shards),
-                None,
-            ),
-        ))
-    };
-    type Store = std::sync::Arc<dyn specrepair_core::VerdictStore>;
-    let persist_store: Option<Store> = match (persist_cache.clone(), remote_store) {
-        (Some(local), Some(remote)) => Some(std::sync::Arc::new(
-            mualloy_analyzer::TieredStore::new(vec![local as Store, remote as Store]),
-        )),
-        (Some(local), None) => Some(local as Store),
-        (None, Some(remote)) => Some(remote as Store),
-        (None, None) => None,
-    };
+    let persist_store = persist_cache
+        .clone()
+        .map(|cache| cache as std::sync::Arc<dyn specrepair_core::VerdictStore>);
     let t0 = Instant::now();
     let (results, run_stats) = runner::run_study_persistent(
         &problems,
@@ -517,8 +471,7 @@ fn die(msg: &str) -> ! {
     eprintln!(
         "usage: study <all|table1|fig2|fig3|table2|ablation|portfolio> [--scale X] [--seed N] \
          [--out DIR] [--journal FILE] [--resume] [--fault-rate R] [--fault-seed N] \
-         [--roster NAME] [--workers N] [--trace DIR] [--cache-dir DIR] [--no-cache] \
-         [--shards a,b,c]\n\
+         [--roster NAME] [--workers N] [--trace DIR] [--cache-dir DIR] [--no-cache]\n\
          oracle counters (stderr, *_stats.json) include REP scoring queries"
     );
     std::process::exit(2);

@@ -74,17 +74,6 @@ pub fn help_text(name: &str) -> &'static str {
         "specrepair_cluster_enabled" => "Whether cluster mode is enabled, labeled by role.",
         "specrepair_cluster_shard_id" => "This daemon's index into the peer list.",
         "specrepair_cluster_peers" => "Cluster size.",
-        "specrepair_remote_lookups_total" => "Remote verdict lookups attempted.",
-        "specrepair_remote_hits_total" => "Remote lookups a peer answered with a verdict.",
-        "specrepair_remote_misses_total" => "Remote lookups answered unknown.",
-        "specrepair_remote_hit_rate" => "Fraction of remote lookups that hit.",
-        "specrepair_remote_puts_total" => "Write-through records sent to owning peers.",
-        "specrepair_remote_self_owned_total" => "Calls skipped because this node owns the key.",
-        "specrepair_remote_transport_errors_total" => "Remote calls that failed in transport.",
-        "specrepair_remote_retries_total" => "Remote transport retries.",
-        "specrepair_remote_breaker_trips_total" => "Peer-breaker trips.",
-        "specrepair_remote_skipped_open_total" => "Remote calls skipped on an open breaker.",
-        "specrepair_remote_open_breakers" => "Peer breakers currently open.",
         "specrepair_router_forwarded_total" => "Requests forwarded, by shard.",
         "specrepair_router_retries_total" => "Forward retries, by shard.",
         "specrepair_router_failures_total" => "Forwards that failed after retry, by shard.",

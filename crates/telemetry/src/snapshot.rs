@@ -141,35 +141,13 @@ impl TransportSection {
     }
 }
 
-/// The `cluster` section of a shard daemon.
+/// The `cluster` section of a shard daemon: its identity in the peer list.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardClusterSection {
     /// This daemon's index into the peer list.
     pub shard_id: u64,
     /// Cluster size.
     pub peers: u64,
-    /// Remote lookups attempted.
-    pub remote_lookups: u64,
-    /// Lookups a peer answered with a verdict.
-    pub remote_hits: u64,
-    /// Lookups a peer answered with "unknown fingerprint".
-    pub remote_misses: u64,
-    /// `remote_hits / remote_lookups`.
-    pub remote_hit_rate: f64,
-    /// Write-through records sent to owning peers.
-    pub remote_puts: u64,
-    /// Lookups/records skipped because this node owns the key.
-    pub self_owned: u64,
-    /// Calls that failed in transport.
-    pub transport_errors: u64,
-    /// Transport retries taken.
-    pub retries: u64,
-    /// Peer-breaker trips.
-    pub breaker_trips: u64,
-    /// Calls skipped because a peer breaker was open.
-    pub skipped_open: u64,
-    /// Peer breakers currently open.
-    pub open_breakers: u64,
 }
 
 /// One shard row of the router's `cluster.shards` map.
@@ -206,7 +184,7 @@ pub enum ClusterSection {
     /// Not running in cluster mode (`{"enabled": false}`).
     #[default]
     Off,
-    /// A shard daemon's remote-tier counters.
+    /// A shard daemon's identity.
     Shard(ShardClusterSection),
     /// A router's per-shard forwarding counters.
     Router(RouterClusterSection),
@@ -357,20 +335,6 @@ impl Snapshot {
                 ("role".to_string(), Value::Str("shard".to_string())),
                 ("shard_id".to_string(), Value::U64(s.shard_id)),
                 ("peers".to_string(), Value::U64(s.peers)),
-                ("remote_lookups".to_string(), Value::U64(s.remote_lookups)),
-                ("remote_hits".to_string(), Value::U64(s.remote_hits)),
-                ("remote_misses".to_string(), Value::U64(s.remote_misses)),
-                ("remote_hit_rate".to_string(), Value::F64(s.remote_hit_rate)),
-                ("remote_puts".to_string(), Value::U64(s.remote_puts)),
-                ("self_owned".to_string(), Value::U64(s.self_owned)),
-                (
-                    "transport_errors".to_string(),
-                    Value::U64(s.transport_errors),
-                ),
-                ("retries".to_string(), Value::U64(s.retries)),
-                ("breaker_trips".to_string(), Value::U64(s.breaker_trips)),
-                ("skipped_open".to_string(), Value::U64(s.skipped_open)),
-                ("open_breakers".to_string(), Value::U64(s.open_breakers)),
             ]),
             ClusterSection::Router(r) => {
                 let per_shard = Value::Map(
@@ -636,37 +600,6 @@ impl Snapshot {
                 });
                 gauge(&mut out, "specrepair_cluster_shard_id", s.shard_id as f64);
                 gauge(&mut out, "specrepair_cluster_peers", s.peers as f64);
-                counter(
-                    &mut out,
-                    "specrepair_remote_lookups_total",
-                    s.remote_lookups,
-                );
-                counter(&mut out, "specrepair_remote_hits_total", s.remote_hits);
-                counter(&mut out, "specrepair_remote_misses_total", s.remote_misses);
-                gauge(&mut out, "specrepair_remote_hit_rate", s.remote_hit_rate);
-                counter(&mut out, "specrepair_remote_puts_total", s.remote_puts);
-                counter(&mut out, "specrepair_remote_self_owned_total", s.self_owned);
-                counter(
-                    &mut out,
-                    "specrepair_remote_transport_errors_total",
-                    s.transport_errors,
-                );
-                counter(&mut out, "specrepair_remote_retries_total", s.retries);
-                counter(
-                    &mut out,
-                    "specrepair_remote_breaker_trips_total",
-                    s.breaker_trips,
-                );
-                counter(
-                    &mut out,
-                    "specrepair_remote_skipped_open_total",
-                    s.skipped_open,
-                );
-                gauge(
-                    &mut out,
-                    "specrepair_remote_open_breakers",
-                    s.open_breakers as f64,
-                );
             }
             ClusterSection::Router(r) => {
                 out.push(Sample {
@@ -851,17 +784,6 @@ impl Snapshot {
             ClusterSection::Shard(ShardClusterSection {
                 shard_id: doc.number_or("cluster", "shard_id", 0.0) as u64,
                 peers: doc.number_or("cluster", "peers", 0.0) as u64,
-                remote_lookups: doc.number_or("cluster", "remote_lookups", 0.0) as u64,
-                remote_hits: doc.number_or("cluster", "remote_hits", 0.0) as u64,
-                remote_misses: doc.number_or("cluster", "remote_misses", 0.0) as u64,
-                remote_hit_rate: doc.number_or("cluster", "remote_hit_rate", 0.0),
-                remote_puts: doc.number_or("cluster", "remote_puts", 0.0) as u64,
-                self_owned: doc.number_or("cluster", "self_owned", 0.0) as u64,
-                transport_errors: doc.number_or("cluster", "transport_errors", 0.0) as u64,
-                retries: doc.number_or("cluster", "retries", 0.0) as u64,
-                breaker_trips: doc.number_or("cluster", "breaker_trips", 0.0) as u64,
-                skipped_open: doc.number_or("cluster", "skipped_open", 0.0) as u64,
-                open_breakers: doc.number_or("cluster", "open_breakers", 0.0) as u64,
             })
         } else {
             ClusterSection::Router(RouterClusterSection {
@@ -1052,17 +974,6 @@ pub(crate) mod tests {
             cluster: ClusterSection::Shard(ShardClusterSection {
                 shard_id: 1,
                 peers: 3,
-                remote_lookups: 10,
-                remote_hits: 4,
-                remote_misses: 6,
-                remote_hit_rate: 0.4,
-                remote_puts: 5,
-                self_owned: 2,
-                transport_errors: 1,
-                retries: 1,
-                breaker_trips: 0,
-                skipped_open: 0,
-                open_breakers: 0,
             }),
             transport: TransportSection {
                 retries: 3,

@@ -1,21 +1,18 @@
-//! Integration tests for the distributed oracle cluster: real shards and a
-//! real router on ephemeral TCP ports, driven with the same client calls
+//! Integration tests for the shard cluster: real shards and a real router
+//! on ephemeral TCP ports, driven with the same client calls
 //! `specrepaird loadgen` uses.
 //!
 //! Covers the headline invariant (a routed `/repair` answer is
-//! byte-identical to a single-node daemon's, at any shard count), the
-//! verdict-exchange plane (PUT/GET through the router land on the owning
-//! shard and warm *other* clients: solved verdicts are pushed to their
-//! owners, and a shard owning neither the spec nor the candidate pulls
-//! them through its remote tier), and the failure mode (killing a shard trips
-//! the router into degraded local solves that still produce the canonical
-//! answer).
+//! byte-identical to a single-node daemon's, at any shard count), memo
+//! locality (the router sends every repeat of a spec to the shard whose
+//! memo solved it, so a repeated pass solves nothing anywhere), and the
+//! failure mode (killing a shard trips the router into degraded local
+//! solves that still produce the canonical answer).
 
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 use mualloy_analyzer::Oracle;
-use mualloy_syntax::Fingerprint;
 use specrepair_cluster::ShardRing;
 use specrepair_server::server::{roundtrip, spawn, ShardConfig};
 use specrepair_server::service::push_json_string;
@@ -38,7 +35,7 @@ fn spec_variant(name: &str) -> String {
     )
 }
 
-fn fingerprint(spec: &str) -> Fingerprint {
+fn fingerprint(spec: &str) -> mualloy_syntax::Fingerprint {
     Oracle::fingerprint(&mualloy_syntax::parse_spec(spec).expect("test spec parses"))
 }
 
@@ -67,17 +64,6 @@ fn strip_duration(body: &str) -> String {
         .filter(|(k, _)| k != "duration_ms")
         .collect();
     serde_json::to_string(&serde::Value::Map(kept)).unwrap()
-}
-
-/// The final candidate's source text in a `/repair` response.
-fn candidate_of(body: &str) -> String {
-    let serde::Value::Map(map) = serde_json::from_str(body).expect("response is JSON") else {
-        panic!("response is not an object: {body}");
-    };
-    match map.into_iter().find(|(k, _)| k == "candidate") {
-        Some((_, serde::Value::Str(source))) => source,
-        other => panic!("no candidate in {body}: {other:?}"),
-    }
 }
 
 fn metric(addr: &str, pointer: &[&str]) -> f64 {
@@ -249,82 +235,62 @@ fn routed_repairs_are_byte_identical_to_single_node_at_any_shard_count() {
 }
 
 #[test]
-fn verdicts_warm_the_owning_shard_and_cross_client_reads() {
+fn a_repeated_routed_pass_solves_nothing_and_hits_the_owning_memos() {
     let cluster = Cluster::boot(3);
-    let ring = cluster.ring();
+    let cases = [
+        (FAULTY.to_string(), "ATR"),
+        (spec_variant("M"), "BeAFix"),
+        (spec_variant("Link"), "ATR"),
+        (spec_variant("Node"), "ICEBAR"),
+    ];
+    let pass = || -> Vec<String> {
+        cases
+            .iter()
+            .map(|(spec, technique)| {
+                let (status, body) = call(
+                    &cluster.router_addr,
+                    "POST",
+                    "/repair",
+                    &repair_body(spec, technique),
+                );
+                assert_eq!(status, 200, "{body}");
+                strip_duration(&body)
+            })
+            .collect()
+    };
+    let solves = || -> Vec<f64> {
+        cluster
+            .peers
+            .iter()
+            .map(|addr| metric(addr, &["oracle_cache", "solver_invocations"]))
+            .collect()
+    };
+    let summed_hits = || -> f64 {
+        cluster
+            .peers
+            .iter()
+            .map(|addr| metric(addr, &["oracle_cache", "hits"]))
+            .sum()
+    };
 
-    // An injected verdict routes to the owner and is readable through the
-    // router *and* directly on the owning shard — two different clients.
-    let injected = fingerprint(&spec_variant("Seeded"));
-    let (status, body) = call(
-        &cluster.router_addr,
-        "PUT",
-        &format!("/verdict/{injected}"),
-        "1",
-    );
-    assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"stored\":true"), "{body}");
-    let (status, body) = call(
-        &cluster.router_addr,
-        "GET",
-        &format!("/verdict/{injected}"),
-        "",
-    );
-    assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"verdict\":true"), "{body}");
-    let owner_addr = &ring.owner(injected).addr;
-    let (status, body) = call(owner_addr, "GET", &format!("/verdict/{injected}"), "");
-    assert_eq!(status, 200, "owner shard does not hold the verdict: {body}");
-
-    // A repair solved through the router runs on the spec's owner, which
-    // pushes each candidate verdict it solves to that candidate's owner.
-    let spec = spec_variant("Shared");
-    let spec_owner = ring.owner_index(fingerprint(&spec));
-    let (status, body) = call(
-        &cluster.router_addr,
-        "POST",
-        "/repair",
-        &repair_body(&spec, "ATR"),
-    );
-    assert_eq!(status, 200, "{body}");
-    let candidate = fingerprint(&candidate_of(&body));
-    let candidate_owner = ring.owner_index(candidate);
-    let (status, reply) = call(
-        &cluster.peers[candidate_owner],
-        "GET",
-        &format!("/verdict/{candidate}"),
-        "",
-    );
-    assert_eq!(status, 200, "{reply}");
+    let first = pass();
+    let (solves_before, hits_before) = (solves(), summed_hits());
     assert!(
-        reply.contains("\"source\":\"memo\""),
-        "candidate owner {candidate_owner} (spec owner {spec_owner}) \
-         does not hold the candidate verdict in memory: {reply}"
+        solves_before.iter().sum::<f64>() > 0.0,
+        "the first pass solved nothing"
     );
-
-    // A shard owning neither the spec nor the candidate, asked the same
-    // question afterwards, pulls the verdict off the cluster's remote tier
-    // instead of solving it. (A shard owning the candidate would answer
-    // from the pushed memo entry and never read the remote tier.)
-    let prober = (0..cluster.peers.len())
-        .find(|&i| i != spec_owner && i != candidate_owner)
-        .expect("three shards leave one owning neither key");
-    let prober_addr = cluster.peers[prober].clone();
-    let remote_hits = |addr: &str| metric(addr, &["cluster", "remote_hits"]);
-    let checks = |addr: &str| metric(addr, &["incremental", "incremental_checks"]);
-    let (hits_before, checks_before) = (remote_hits(&prober_addr), checks(&prober_addr));
-    let (status, body) = call(&prober_addr, "POST", "/repair", &repair_body(&spec, "ATR"));
-    assert_eq!(status, 200, "{body}");
+    // The router sends each repeat to the shard that solved it, so that
+    // shard's memo answers every verdict: no shard solves again.
+    assert_eq!(pass(), first, "the repeated pass answered differently");
+    assert_eq!(solves(), solves_before, "a shard solved a repeated verdict");
     assert!(
-        remote_hits(&prober_addr) > hits_before,
-        "shard {prober} never read the remote tier"
+        summed_hits() > hits_before,
+        "the repeated pass never hit a shard memo"
     );
     assert_eq!(
-        checks(&prober_addr),
-        checks_before,
-        "shard {prober} solved a verdict the cluster already held"
+        metric(&cluster.router_addr, &["cluster", "degraded_local_solves"]),
+        0.0
     );
-
     cluster.drain();
 }
 
@@ -342,8 +308,7 @@ fn killing_the_owning_shard_degrades_to_a_correct_local_solve() {
     single.join();
 
     let mut cluster = Cluster::boot(3);
-    let key = fingerprint(&spec);
-    let owner = cluster.ring().owner_index(key);
+    let owner = cluster.ring().owner_index(fingerprint(&spec));
     cluster.kill_shard(owner);
 
     // The router retries, gives up on the dead owner, and solves locally —
@@ -355,15 +320,18 @@ fn killing_the_owning_shard_degrades_to_a_correct_local_solve() {
         metric(&cluster.router_addr, &["cluster", "degraded_local_solves"]) >= 1.0,
         "the degraded solve was not counted"
     );
-
-    // The verdict plane degrades too: a PUT for a key the dead shard owns
-    // lands in the router's own memo and reads back as degraded.
-    let (status, reply) = call(&cluster.router_addr, "PUT", &format!("/verdict/{key}"), "0");
-    assert_eq!(status, 200, "{reply}");
-    assert!(reply.contains("\"degraded\":true"), "{reply}");
-    let (status, reply) = call(&cluster.router_addr, "GET", &format!("/verdict/{key}"), "");
-    assert_eq!(status, 200, "{reply}");
-    assert!(reply.contains("\"source\":\"degraded\""), "{reply}");
+    // The dead shard's row records why: a failed forward, or one skipped on
+    // its open breaker.
+    let dead = cluster.peers[owner].as_str();
+    let failures = metric(
+        &cluster.router_addr,
+        &["cluster", "shards", dead, "failures"],
+    );
+    let skipped = metric(&cluster.router_addr, &["cluster", "skipped_open"]);
+    assert!(
+        failures > 0.0 || skipped > 0.0,
+        "the dead shard's failures went unrecorded"
+    );
 
     // And the router is still healthy for the rest of the keyspace.
     let (status, _) = call(&cluster.router_addr, "GET", "/healthz", "");

@@ -96,18 +96,6 @@ impl IncrementalStats {
         self.clauses_total += other.clauses_total;
         self.learned_clauses_retained += other.learned_clauses_retained;
     }
-
-    /// The telemetry `incremental` section for this snapshot.
-    pub fn section(&self) -> specrepair_telemetry::IncrementalSection {
-        specrepair_telemetry::IncrementalSection {
-            sessions: self.sessions,
-            checks: self.checks,
-            fallbacks: self.fallbacks,
-            activation_vars: self.activation_vars,
-            clause_reuse_rate: self.clause_reuse_rate(),
-            learned_clauses_retained: self.learned_clauses_retained,
-        }
-    }
 }
 
 /// One persistent translation + solver session for a (skeleton, scope)

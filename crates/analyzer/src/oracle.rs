@@ -172,21 +172,6 @@ impl OracleCacheStats {
         self.persist_hits += other.persist_hits;
         self.collapsed += other.collapsed;
     }
-
-    /// The telemetry `oracle_cache` section for this snapshot.
-    pub fn section(&self, memoized_specs: usize) -> specrepair_telemetry::OracleCacheSection {
-        specrepair_telemetry::OracleCacheSection {
-            hits: self.hits,
-            misses: self.misses,
-            solver_invocations: self.solver_invocations,
-            errors: self.errors,
-            evictions: self.evictions,
-            hit_rate: self.hit_rate(),
-            memoized_specs: memoized_specs as u64,
-            persist_hits: self.persist_hits,
-            collapsed: self.collapsed,
-        }
-    }
 }
 
 /// A point-in-time snapshot of the verdict chain's counters — the
@@ -220,16 +205,6 @@ impl DedupStats {
         self.hits += other.hits;
         self.misses += other.misses;
         self.coalesced += other.coalesced;
-    }
-
-    /// The telemetry `candidate_dedup` section for this snapshot.
-    pub fn section(&self) -> specrepair_telemetry::DedupSection {
-        specrepair_telemetry::DedupSection {
-            hits: self.hits,
-            misses: self.misses,
-            coalesced: self.coalesced,
-            rate: self.dedup_rate(),
-        }
     }
 }
 

@@ -91,31 +91,6 @@ pub struct PersistStats {
     pub injected_bit_flips: u64,
 }
 
-impl PersistStats {
-    /// The telemetry `persistent` section for this snapshot.
-    pub fn section(&self) -> specrepair_telemetry::PersistSection {
-        specrepair_telemetry::PersistSection {
-            degraded: self.degraded,
-            preloaded: self.preloaded,
-            quarantined: self.quarantined,
-            live_entries: self.live_entries,
-            disk_lines: self.disk_lines,
-            disk_good: self.disk_good,
-            lookups: self.lookups,
-            hits: self.hits,
-            appends: self.appends,
-            append_errors: self.append_errors,
-            skipped_degraded: self.skipped_degraded,
-            breaker_trips: self.breaker_trips,
-            compactions: self.compactions,
-            compaction_failures: self.compaction_failures,
-            injected_write_errors: self.injected_write_errors,
-            injected_short_writes: self.injected_short_writes,
-            injected_bit_flips: self.injected_bit_flips,
-        }
-    }
-}
-
 /// The disk-tier circuit breaker: the shared call-count
 /// [`CallBreaker`] discipline (no wall clock, so chaos runs stay
 /// deterministic), instantiated with this tier's trip and cooldown counts.

@@ -17,8 +17,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::Value;
-
 /// The kinds of transport fault the plan can inject, mirroring the failure
 /// taxonomy of a remote LLM API (DESIGN.md §7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -369,24 +367,13 @@ impl FaultStats {
         FaultKind::ALL.iter().map(|&k| self.count(k)).sum()
     }
 
-    /// Snapshot as `(kind label, count)` pairs in taxonomy order — the
-    /// typed form the telemetry snapshot's transport section carries.
+    /// Snapshot as `(kind label, count)` pairs in taxonomy order — what
+    /// the daemon's `transport.injected_faults` metrics read.
     pub fn pairs(&self) -> Vec<(String, u64)> {
         FaultKind::ALL
             .iter()
             .map(|&k| (k.label().to_string(), self.count(k)))
             .collect()
-    }
-
-    /// Snapshot as a JSON value (`kind label -> count`, plus `total`), the
-    /// shape embedded in `GET /metrics`.
-    pub fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = FaultKind::ALL
-            .iter()
-            .map(|&k| (k.label().to_string(), Value::U64(self.count(k))))
-            .collect();
-        fields.push(("total".to_string(), Value::U64(self.total())));
-        Value::Map(fields)
     }
 }
 
@@ -535,7 +522,6 @@ mod tests {
         assert_eq!(stats.count(FaultKind::Timeout), 2);
         assert_eq!(stats.count(FaultKind::RateLimit), 0);
         assert_eq!(stats.total(), 3);
-        let rendered = serde_json::to_string(&stats.to_value()).unwrap();
-        assert!(rendered.contains("\"timeout\": 2") || rendered.contains("\"timeout\":2"));
+        assert_eq!(stats.pairs()[0], ("timeout".to_string(), 2));
     }
 }

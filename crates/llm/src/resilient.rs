@@ -263,29 +263,6 @@ impl TransportStats {
     pub fn new() -> TransportStats {
         TransportStats::default()
     }
-
-    /// Snapshot as `(name, value)` pairs, stable order, for metrics.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("retries", self.retries.get()),
-            ("giveups", self.giveups.get()),
-            ("breaker_trips", self.breaker_trips.get()),
-            ("breaker_rejections", self.breaker_rejections.get()),
-            ("cancelled_backoffs", self.cancelled_backoffs.get()),
-        ]
-    }
-
-    /// The telemetry `transport` section for this snapshot.
-    pub fn section(&self) -> specrepair_telemetry::TransportSection {
-        specrepair_telemetry::TransportSection {
-            retries: self.retries.get(),
-            giveups: self.giveups.get(),
-            breaker_trips: self.breaker_trips.get(),
-            breaker_rejections: self.breaker_rejections.get(),
-            cancelled_backoffs: self.cancelled_backoffs.get(),
-            injected_faults: self.faults.pairs(),
-        }
-    }
 }
 
 /// The resilient LM client the repair pipelines hold: retries, backoff and

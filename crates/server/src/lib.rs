@@ -29,8 +29,8 @@
 //!
 //! Module map: [`http`] wire parsing · [`service`] request→repair→response
 //! · [`engine`] threads, queue, shutdown · [`server`] the daemon/shard ·
-//! [`router`] the cluster front-end · [`metrics`] observability ·
-//! [`loadgen`] the client.
+//! [`router`] the cluster front-end · [`metrics`] observability, with
+//! each metric described once in `snapshot` · [`loadgen`] the client.
 
 pub(crate) mod engine;
 pub mod http;
@@ -39,6 +39,7 @@ pub mod metrics;
 pub mod router;
 pub mod server;
 pub mod service;
+pub(crate) mod snapshot;
 
 pub use loadgen::{LoadgenConfig, LoadgenReport, WorkloadProfile};
 pub use metrics::{Histogram, ServerMetrics};

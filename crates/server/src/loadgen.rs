@@ -7,7 +7,7 @@
 //! `specrepair-mutation`'s injector over the A4F exercises with fixed
 //! seeds, so a second identical run replays byte-identical candidates and
 //! the daemon's oracle cache hit rate must rise — the `/metrics`
-//! reconciliation the CI smoke job checks.
+//! reconciliation this module's tests check against an in-process daemon.
 //!
 //! Two workload shapes: `uniform` cycles through one shared variant pool,
 //! `zipfian` models a multi-tenant Alloy4Fun deployment — each tenant gets
@@ -24,12 +24,12 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use mualloy_syntax::print_spec;
+use serde::Value;
 use specrepair_benchmarks::a4f;
 use specrepair_cluster::client::connect_with_retry;
 use specrepair_core::CancelToken;
 use specrepair_mutation::{inject_fault, InjectorConfig};
 use specrepair_study::TechniqueId;
-use specrepair_telemetry::Snapshot;
 
 use crate::metrics::Histogram;
 use crate::server::roundtrip;
@@ -408,9 +408,9 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
             .ok()
             .and_then(|(body, retries)| {
                 metrics_fetch_retries += retries;
-                Snapshot::from_json(&body).ok()
+                MetricsReading::decode(&body).ok()
             })
-            .map(|snapshot| snapshot.oracle_cache.hit_rate)
+            .map(|reading| reading.hit_rate)
     } else {
         let (rate, retries) = aggregate_shard_hit_rate(&config.shards);
         metrics_fetch_retries += retries;
@@ -478,23 +478,23 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
         }
     }
     report.elapsed = started.elapsed();
-    // One post-run `/metrics` fetch, decoded once through the shared typed
-    // snapshot, feeds every reconciliation reading: the oracle cache hit
-    // rate, the candidate-dedup counters, the incremental-session counters
-    // and the persistent tier.
+    // One post-run `/metrics` fetch, decoded once, feeds every
+    // reconciliation reading: the oracle cache hit rate, the
+    // candidate-dedup counters, the incremental-session counters and the
+    // persistent tier.
     match fetch_metrics_counting(&config.addr).and_then(|(body, retries)| {
         report.metrics_fetch_retries += retries;
-        Snapshot::from_json(&body)
+        MetricsReading::decode(&body)
     }) {
-        Ok(snapshot) => {
-            report.cache_hit_rate = Some(snapshot.oracle_cache.hit_rate);
-            report.dedup_hits = Some(snapshot.candidate_dedup.hits);
-            report.dedup_rate = Some(snapshot.candidate_dedup.rate);
-            report.incremental_checks = Some(snapshot.incremental.checks);
-            report.clause_reuse_rate = Some(snapshot.incremental.clause_reuse_rate);
-            if let Some(persist) = &snapshot.persistent {
-                report.persist_preloaded = Some(persist.preloaded);
-                report.persist_hits = Some(snapshot.oracle_cache.persist_hits);
+        Ok(reading) => {
+            report.cache_hit_rate = Some(reading.hit_rate);
+            report.dedup_hits = Some(reading.dedup_hits);
+            report.dedup_rate = Some(reading.dedup_rate);
+            report.incremental_checks = Some(reading.incremental_checks);
+            report.clause_reuse_rate = Some(reading.clause_reuse_rate);
+            if let Some((preloaded, persist_hits)) = reading.persist {
+                report.persist_preloaded = Some(preloaded);
+                report.persist_hits = Some(persist_hits);
             }
         }
         Err(why) => {
@@ -559,14 +559,14 @@ fn aggregate_shard_hit_rate(shards: &[String]) -> (Option<f64>, usize) {
 /// A human-readable description of the failed fetch or the malformed body.
 fn read_shard(addr: &str) -> Result<(ShardReading, usize), String> {
     let (body, retries) = fetch_metrics_counting(addr)?;
-    let snapshot = Snapshot::from_json(&body)?;
-    let reading = ShardReading {
+    let reading = MetricsReading::decode(&body)?;
+    let shard = ShardReading {
         addr: addr.to_string(),
-        hits: snapshot.oracle_cache.hits,
-        misses: snapshot.oracle_cache.misses,
-        hit_rate: snapshot.oracle_cache.hit_rate,
+        hits: reading.hits,
+        misses: reading.misses,
+        hit_rate: reading.hit_rate,
     };
-    Ok((reading, retries))
+    Ok((shard, retries))
 }
 
 /// Polls `GET /healthz` until the daemon answers `200`, with the same
@@ -607,25 +607,6 @@ fn send_one(addr: &str, body: &str) -> Option<u16> {
         .ok()
 }
 
-/// Fetches `/metrics` and extracts `oracle_cache.hit_rate` through the
-/// shared typed [`Snapshot`] decoder.
-///
-/// # Errors
-///
-/// A human-readable description of exactly where the fetch went wrong:
-/// connect/transport failure, a non-200 status, a body that is not JSON,
-/// or a JSON document missing (or mistyping) the expected fields. Callers
-/// are expected to surface this rather than collapse it to "unavailable".
-pub fn fetch_hit_rate(addr: &str) -> Result<f64, String> {
-    let body = fetch_metrics(addr)?;
-    Ok(Snapshot::from_json(&body)?.oracle_cache.hit_rate)
-}
-
-/// Fetches the raw `/metrics` body from a running daemon.
-pub fn fetch_metrics(addr: &str) -> Result<String, String> {
-    fetch_metrics_counting(addr).map(|(body, _)| body)
-}
-
 /// Fetches `/metrics` with the bounded boot-race connect retry, returning
 /// the body together with how many connect retries the fetch spent.
 ///
@@ -646,10 +627,111 @@ pub fn fetch_metrics_counting(addr: &str) -> Result<(String, usize), String> {
     Ok((body, retries))
 }
 
+/// The `/metrics` fields a report reads: the oracle cache, the verdict
+/// chain, the incremental sessions and, when configured, the persistent
+/// tier.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct MetricsReading {
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+    pub(crate) hit_rate: f64,
+    pub(crate) dedup_hits: u64,
+    pub(crate) dedup_rate: f64,
+    pub(crate) incremental_checks: u64,
+    pub(crate) clause_reuse_rate: f64,
+    /// `(preloaded, persist_hits)` when the document shows the tier on.
+    pub(crate) persist: Option<(u64, u64)>,
+}
+
+impl MetricsReading {
+    /// Decodes a `/metrics` body, section by section in document order.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of exactly which expectation the body
+    /// violates: not JSON, not an object, a missing section, a missing
+    /// field, or a mistyped value. A `persistent` section that renders
+    /// `{"enabled": false}` is the tier being off, not an error.
+    pub(crate) fn decode(body: &str) -> Result<MetricsReading, String> {
+        let doc = MetricsDoc::parse(body)?;
+        Ok(MetricsReading {
+            hits: doc.number("oracle_cache", "hits")? as u64,
+            misses: doc.number("oracle_cache", "misses")? as u64,
+            hit_rate: doc.number("oracle_cache", "hit_rate")?,
+            dedup_hits: doc.number("candidate_dedup", "dedup_hits")? as u64,
+            dedup_rate: doc.number("candidate_dedup", "dedup_rate")?,
+            incremental_checks: doc.number("incremental", "incremental_checks")? as u64,
+            clause_reuse_rate: doc.number("incremental", "clause_reuse_rate")?,
+            persist: if doc.flag("persistent", "enabled") {
+                let preloaded = doc.number("persistent", "preloaded")? as u64;
+                let persist_hits = doc.number("oracle_cache", "persist_hits").unwrap_or(0.0);
+                Some((preloaded, persist_hits as u64))
+            } else {
+                None
+            },
+        })
+    }
+}
+
+/// A parsed `/metrics` JSON document with described-field access.
+struct MetricsDoc {
+    root: Vec<(String, Value)>,
+}
+
+impl MetricsDoc {
+    /// Parses the body and checks it is a JSON object.
+    fn parse(body: &str) -> Result<MetricsDoc, String> {
+        let value: Value = serde_json::from_str(body)
+            .map_err(|e| format!("/metrics body is not valid JSON: {e}"))?;
+        let Value::Map(root) = value else {
+            return Err("/metrics body is not a JSON object".to_string());
+        };
+        Ok(MetricsDoc { root })
+    }
+
+    fn section(&self, section: &str) -> Result<&Vec<(String, Value)>, String> {
+        let sec = self
+            .root
+            .iter()
+            .find(|(k, _)| k == section)
+            .map(|(_, v)| v)
+            .ok_or(format!("/metrics document has no `{section}` section"))?;
+        let Value::Map(sec) = sec else {
+            return Err(format!("/metrics `{section}` is not an object"));
+        };
+        Ok(sec)
+    }
+
+    fn field(&self, section: &str, field: &str) -> Result<&Value, String> {
+        self.section(section)?
+            .iter()
+            .find(|(k, _)| k == field)
+            .map(|(_, v)| v)
+            .ok_or(format!("/metrics `{section}` has no `{field}` field"))
+    }
+
+    /// `{section}.{field}` as a number, describing exactly which
+    /// expectation a malformed body violates.
+    fn number(&self, section: &str, field: &str) -> Result<f64, String> {
+        match self.field(section, field)? {
+            Value::F64(n) => Ok(*n),
+            Value::U64(n) => Ok(*n as f64),
+            Value::I64(n) => Ok(*n as f64),
+            other => Err(format!("`{section}.{field}` is not a number: {other:?}")),
+        }
+    }
+
+    /// `{section}.{field}` as a boolean (false when absent or mistyped).
+    fn flag(&self, section: &str, field: &str) -> bool {
+        matches!(self.field(section, field), Ok(Value::Bool(true)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specrepair_telemetry::ClusterSection;
+    use crate::{RouterConfig, ServerConfig, ServerHandle};
+    use specrepair_telemetry::{prom, SampleValue};
 
     #[test]
     fn bodies_are_deterministic_and_rotate_techniques() {
@@ -882,38 +964,32 @@ mod tests {
             r#"{"enabled":false}"#,
             r#"{"enabled":true,"role":"shard","shard_id":2,"peers":3}"#,
         );
-        let snapshot = Snapshot::from_json(&body).unwrap();
-        assert_eq!(snapshot.oracle_cache.hits, 6);
-        assert_eq!(snapshot.oracle_cache.misses, 2);
-        assert_eq!(snapshot.oracle_cache.hit_rate, 0.75);
-        assert_eq!(snapshot.candidate_dedup.hits, 7);
-        assert_eq!(snapshot.candidate_dedup.rate, 0.25);
-        assert_eq!(snapshot.incremental.checks, 11);
-        assert_eq!(snapshot.incremental.clause_reuse_rate, 0.6);
         // Without `--cache-dir` the tier renders `enabled: false`: the
-        // typed decoder reports "off" as `None`, not an error.
-        assert_eq!(snapshot.persistent, None);
-        // The shard cluster section carries the shard's identity.
-        match &snapshot.cluster {
-            ClusterSection::Shard(shard) => {
-                assert_eq!((shard.shard_id, shard.peers), (2, 3));
+        // decoder reports "off" as `None`, not an error.
+        assert_eq!(
+            MetricsReading::decode(&body).unwrap(),
+            MetricsReading {
+                hits: 6,
+                misses: 2,
+                hit_rate: 0.75,
+                dedup_hits: 7,
+                dedup_rate: 0.25,
+                incremental_checks: 11,
+                clause_reuse_rate: 0.6,
+                persist: None,
             }
-            other => panic!("expected a shard cluster section, got {other:?}"),
-        }
+        );
     }
 
     #[test]
     fn snapshot_decoder_reads_the_persistent_tier_when_enabled() {
         let body = metrics_body(r#"{"enabled":true,"preloaded":17}"#, r#"{"enabled":false}"#);
-        let snapshot = Snapshot::from_json(&body).unwrap();
-        let persist = snapshot.persistent.expect("tier is on");
-        assert_eq!(persist.preloaded, 17);
-        assert_eq!(snapshot.oracle_cache.persist_hits, 4);
-        assert_eq!(snapshot.cluster, ClusterSection::Off);
+        let reading = MetricsReading::decode(&body).unwrap();
+        assert_eq!(reading.persist, Some((17, 4)));
         // An enabled tier that lost its `preloaded` counter is a described
         // error, not a panic.
         let broken = metrics_body(r#"{"enabled":true}"#, r#"{"enabled":false}"#);
-        let err = Snapshot::from_json(&broken).unwrap_err();
+        let err = MetricsReading::decode(&broken).unwrap_err();
         assert!(err.contains("no `preloaded` field"), "{err}");
     }
 
@@ -943,8 +1019,146 @@ mod tests {
             ),
         ];
         for (body, expected) in cases {
-            let err = Snapshot::from_json(&body).unwrap_err();
+            let err = MetricsReading::decode(&body).unwrap_err();
             assert!(err.contains(expected), "{body} => {err}");
+        }
+    }
+
+    /// The daemon's own `GET /metrics/prom` exposition.
+    fn exposition(addr: &str) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connecting");
+        let (status, body) =
+            roundtrip(&mut stream, "GET", "/metrics/prom", "").expect("a well-formed response");
+        assert_eq!(status, 200, "{body}");
+        body
+    }
+
+    /// The value of the scalar series `id` in an exposition.
+    fn series(exposition: &str, id: &str) -> f64 {
+        let samples = prom::parse(exposition).expect("the exposition parses");
+        let sample = samples
+            .iter()
+            .find(|s| s.id() == id)
+            .unwrap_or_else(|| panic!("no series {id}"));
+        match sample.value {
+            SampleValue::Counter(n) => n as f64,
+            SampleValue::Gauge(v) => v,
+            ref other => panic!("{id} is not a scalar: {other:?}"),
+        }
+    }
+
+    fn small_pass(addr: &str) -> LoadgenConfig {
+        LoadgenConfig {
+            addr: addr.to_string(),
+            requests: 12,
+            connections: 2,
+            ..LoadgenConfig::default()
+        }
+    }
+
+    #[test]
+    fn run_reports_what_the_daemon_exposes() {
+        let cache_dir =
+            std::env::temp_dir().join(format!("specrepaird-loadgen-run-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&cache_dir);
+        let daemon = crate::spawn(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            cache_dir: Some(cache_dir.clone()),
+            ..ServerConfig::default()
+        })
+        .expect("binding an ephemeral port");
+        let config = small_pass(&daemon.addr().to_string());
+        let mut hit_rates = Vec::new();
+        for _ in 0..2 {
+            let report = run(&config);
+            assert!(report.clean(), "{}", report.render());
+            assert_eq!(report.metrics_fetch_failures, 0, "{}", report.render());
+            // Nothing runs between the report's `/metrics` read and this
+            // one, so every field equals the daemon's own series.
+            let text = exposition(&config.addr);
+            let count = |id| Some(series(&text, id) as u64);
+            assert_eq!(report.dedup_hits, count("specrepair_dedup_hits_total"));
+            assert_eq!(
+                report.dedup_rate,
+                Some(series(&text, "specrepair_dedup_rate"))
+            );
+            assert_eq!(
+                report.incremental_checks,
+                count("specrepair_incremental_checks_total")
+            );
+            assert_eq!(
+                report.clause_reuse_rate,
+                Some(series(&text, "specrepair_incremental_clause_reuse_rate"))
+            );
+            assert_eq!(
+                report.persist_preloaded,
+                count("specrepair_persist_preloaded")
+            );
+            assert_eq!(
+                report.persist_hits,
+                count("specrepair_oracle_persist_hits_total")
+            );
+            hit_rates.push(report.cache_hit_rate.expect("a post-run hit rate"));
+        }
+        assert!(
+            hit_rates[1] > hit_rates[0],
+            "an identical replay must warm the cache: {hit_rates:?}"
+        );
+        daemon.shutdown();
+        daemon.join();
+        let _ = std::fs::remove_dir_all(&cache_dir);
+    }
+
+    #[test]
+    fn run_over_shards_reads_each_shard_and_sums_the_rate() {
+        let shards: Vec<ServerHandle> = (0..2)
+            .map(|_| {
+                crate::spawn(ServerConfig {
+                    addr: "127.0.0.1:0".to_string(),
+                    ..ServerConfig::default()
+                })
+                .expect("binding an ephemeral port")
+            })
+            .collect();
+        let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
+        let router = crate::spawn_router(RouterConfig {
+            addr: "127.0.0.1:0".to_string(),
+            shards: addrs.clone(),
+            ..RouterConfig::default()
+        })
+        .expect("binding an ephemeral port");
+        let report = run(&LoadgenConfig {
+            shards: addrs.clone(),
+            ..small_pass(&router.addr().to_string())
+        });
+        assert!(report.clean(), "{}", report.render());
+        assert_eq!(report.metrics_fetch_failures, 0, "{}", report.render());
+        let rows: Vec<&str> = report.per_shard.iter().map(|r| r.addr.as_str()).collect();
+        assert_eq!(rows, addrs, "one row per shard, in --shards order");
+        let (mut hits, mut lookups) = (0, 0);
+        for row in &report.per_shard {
+            let text = exposition(&row.addr);
+            assert_eq!(
+                row.hits as f64,
+                series(&text, "specrepair_oracle_hits_total")
+            );
+            assert_eq!(
+                row.misses as f64,
+                series(&text, "specrepair_oracle_misses_total")
+            );
+            assert_eq!(row.hit_rate, series(&text, "specrepair_oracle_hit_rate"));
+            hits += row.hits;
+            lookups += row.hits + row.misses;
+        }
+        assert!(lookups > 0, "the pass reached the shards");
+        // The aggregate is summed hits over summed lookups, not a mean of
+        // the shards' rates.
+        assert_eq!(report.cache_hit_rate, Some(hits as f64 / lookups as f64));
+        router.shutdown();
+        router.join();
+        for shard in shards {
+            shard.shutdown();
+            shard.join();
         }
     }
 }

@@ -1,49 +1,39 @@
-//! Server observability, rebased on the unified telemetry registry.
+//! Server observability: the daemon's own metric cells and the per-phase
+//! trace totals.
 //!
-//! [`ServerMetrics`] used to keep its own maps of counters and latency
-//! histograms and hand-render the `GET /metrics` JSON; now every series
-//! lives in a [`Registry`] (lock-free relaxed-atomic increments on the
-//! hot path) and the document is produced by assembling a typed
-//! [`Snapshot`] — the same snapshot that backs the Prometheus exposition
-//! at `GET /metrics/prom`, the time-series ring at `GET /metrics/history`
-//! and fleet aggregation at the router. The JSON document itself is
-//! byte-for-byte the historical format, pinned by the golden-file test
-//! below.
+//! [`ServerMetrics`] holds the hot-path cells: the admission gauges and
+//! counters, plus a [`Registry`] of the two labeled families (requests by
+//! endpoint and status, repair latency histograms by technique), all
+//! lock-free relaxed-atomic increments. It renders nothing itself: the
+//! crate's `snapshot` module reads it next to every subsystem's stats and
+//! describes each metric once for both the `GET /metrics` JSON document
+//! and the sample list behind `GET /metrics/prom`, the history ring and
+//! the router's fleet scrape. The JSON document is byte-for-byte the
+//! historical format, pinned by the golden-file tests below, as are the
+//! exposition and a router's document.
 
 use std::time::Instant;
 
-use mualloy_analyzer::{IncrementalStats, OracleCacheStats};
 use serde::Value;
-use specrepair_cache::PersistStats;
-use specrepair_core::DedupStats;
-use specrepair_llm::TransportStats;
-use specrepair_telemetry::{
-    ClusterSection, Counter, Gauge, Registry, Sample, SampleValue, Snapshot,
-};
+use specrepair_telemetry::{Counter, Gauge, Registry};
+
+use crate::snapshot::{LATENCY, REQUESTS};
 
 /// The log₂ latency histogram, promoted into the telemetry crate; the
 /// historical `server::Histogram` name keeps working.
 pub use specrepair_telemetry::HistogramSnapshot as Histogram;
 
-fn label(sample: &Sample, key: &str) -> String {
-    sample
-        .labels
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.clone())
-        .unwrap_or_default()
-}
-
 /// The server-wide metrics registry. All methods take `&self`; it is shared
 /// behind the server state `Arc` across acceptor and workers.
 #[derive(Debug)]
 pub struct ServerMetrics {
-    started: Instant,
-    registry: Registry,
-    queue_depth: Gauge,
-    inflight: Gauge,
-    shed_total: Counter,
-    deadline_exceeded_total: Counter,
+    pub(crate) started: Instant,
+    /// The request counters and latency histograms.
+    pub(crate) registry: Registry,
+    pub(crate) queue_depth: Gauge,
+    pub(crate) inflight: Gauge,
+    pub(crate) shed_total: Counter,
+    pub(crate) deadline_exceeded_total: Counter,
 }
 
 impl Default for ServerMetrics {
@@ -55,34 +45,13 @@ impl Default for ServerMetrics {
 impl ServerMetrics {
     /// A fresh registry.
     pub fn new() -> ServerMetrics {
-        let registry = Registry::new();
-        let queue_depth = registry.gauge(
-            "specrepair_queue_depth",
-            "Requests waiting in the admission queue.",
-            &[],
-        );
-        let inflight = registry.gauge(
-            "specrepair_inflight",
-            "Requests currently executing in workers.",
-            &[],
-        );
-        let shed_total = registry.counter(
-            "specrepair_shed_total",
-            "Connections shed at admission.",
-            &[],
-        );
-        let deadline_exceeded_total = registry.counter(
-            "specrepair_deadline_exceeded_total",
-            "Repairs that exceeded their deadline.",
-            &[],
-        );
         ServerMetrics {
             started: Instant::now(),
-            registry,
-            queue_depth,
-            inflight,
-            shed_total,
-            deadline_exceeded_total,
+            registry: Registry::new(),
+            queue_depth: Gauge::new(),
+            inflight: Gauge::new(),
+            shed_total: Counter::new(),
+            deadline_exceeded_total: Counter::new(),
         }
     }
 
@@ -90,8 +59,7 @@ impl ServerMetrics {
     pub fn record_request(&self, endpoint: &str, status: u16) {
         self.registry
             .counter(
-                "specrepair_requests_total",
-                "Requests served, by endpoint and status.",
+                REQUESTS.name,
                 &[("endpoint", endpoint), ("status", &status.to_string())],
             )
             .inc();
@@ -111,25 +79,8 @@ impl ServerMetrics {
     /// Records one repair latency under the technique's label.
     pub fn record_latency(&self, technique: &str, micros: u64) {
         self.registry
-            .histogram(
-                "specrepair_repair_latency_us",
-                "Repair latency in microseconds, by technique.",
-                &[("technique", technique)],
-            )
+            .histogram(LATENCY.name, &[("technique", technique)])
             .record(micros);
-    }
-
-    /// Total count of requests served for one endpoint (all statuses).
-    pub fn requests_for(&self, endpoint: &str) -> u64 {
-        self.registry
-            .gather()
-            .iter()
-            .filter(|s| s.name == "specrepair_requests_total" && label(s, "endpoint") == endpoint)
-            .map(|s| match s.value {
-                SampleValue::Counter(n) => n,
-                _ => 0,
-            })
-            .sum()
     }
 
     /// Adjusts the admission-queue depth gauge.
@@ -150,84 +101,6 @@ impl ServerMetrics {
     /// Number of requests currently executing in workers.
     pub fn inflight(&self) -> usize {
         self.inflight.get_unsigned() as usize
-    }
-
-    /// Assembles the typed snapshot of this daemon: the registry's own
-    /// series (requests, latencies, gauges) plus every subsystem section.
-    ///
-    /// One parameter per stats source is deliberate: every call site must
-    /// decide explicitly what each section shows.
-    #[allow(clippy::too_many_arguments)]
-    pub fn snapshot(
-        &self,
-        oracle: &OracleCacheStats,
-        memoized_specs: usize,
-        dedup: &DedupStats,
-        incremental: &IncrementalStats,
-        transport: &TransportStats,
-        persist: Option<&PersistStats>,
-        cluster: ClusterSection,
-    ) -> Snapshot {
-        let mut requests: Vec<(String, Vec<(String, u64)>)> = Vec::new();
-        let mut latency: Vec<(String, Histogram)> = Vec::new();
-        // gather() is sorted by (name, labels), so request rows arrive
-        // grouped by endpoint and latencies sorted by technique.
-        for sample in self.registry.gather() {
-            match (sample.name.as_str(), &sample.value) {
-                ("specrepair_requests_total", SampleValue::Counter(n)) => {
-                    let endpoint = label(&sample, "endpoint");
-                    let status = label(&sample, "status");
-                    match requests.last_mut() {
-                        Some((e, rows)) if *e == endpoint => rows.push((status, *n)),
-                        _ => requests.push((endpoint, vec![(status, *n)])),
-                    }
-                }
-                ("specrepair_repair_latency_us", SampleValue::Histogram(h)) => {
-                    latency.push((label(&sample, "technique"), h.clone()));
-                }
-                _ => {}
-            }
-        }
-        Snapshot {
-            uptime_ms: self.started.elapsed().as_millis() as u64,
-            queue_depth: self.queue_depth.get_unsigned(),
-            inflight: self.inflight.get_unsigned(),
-            shed_total: self.shed_total.get(),
-            deadline_exceeded_total: self.deadline_exceeded_total.get(),
-            requests,
-            latency,
-            oracle_cache: oracle.section(memoized_specs),
-            candidate_dedup: dedup.section(),
-            incremental: incremental.section(),
-            persistent: persist.map(|p| p.section()),
-            cluster,
-            transport: transport.section(),
-        }
-    }
-
-    /// Renders the `GET /metrics` JSON document — byte-compatible with
-    /// the pre-registry format (see the golden-file test).
-    #[allow(clippy::too_many_arguments)]
-    pub fn render(
-        &self,
-        oracle: &OracleCacheStats,
-        memoized_specs: usize,
-        dedup: &DedupStats,
-        incremental: &IncrementalStats,
-        transport: &TransportStats,
-        persist: Option<&PersistStats>,
-        cluster: ClusterSection,
-    ) -> String {
-        self.snapshot(
-            oracle,
-            memoized_specs,
-            dedup,
-            incremental,
-            transport,
-            persist,
-            cluster,
-        )
-        .to_json()
     }
 }
 
@@ -314,9 +187,137 @@ impl TraceTotals {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use specrepair_telemetry::ShardClusterSection;
+    use crate::server::ShardConfig;
+    use crate::snapshot::{ClusterSection, RouterClusterSection, RouterShardRow, Snapshot};
+    use mualloy_analyzer::{IncrementalStats, OracleCacheStats};
+    use specrepair_cache::PersistStats;
+    use specrepair_core::DedupStats;
+    use specrepair_llm::TransportStats;
+    use specrepair_telemetry::SampleValue;
+
+    /// A snapshot of `metrics` and `transport` with every other source at
+    /// rest: no oracle traffic, no tier, no cluster.
+    pub(crate) fn idle<'a>(
+        metrics: &'a ServerMetrics,
+        transport: &'a TransportStats,
+    ) -> Snapshot<'a> {
+        Snapshot {
+            metrics,
+            oracle: OracleCacheStats::default(),
+            memoized_specs: 0,
+            dedup: DedupStats::default(),
+            incremental: IncrementalStats::default(),
+            transport,
+            persist: None,
+            cluster: ClusterSection::Off,
+        }
+    }
+
+    /// The daemon cells and transport counters the golden files were
+    /// rendered from.
+    pub(crate) fn golden_daemon() -> (ServerMetrics, TransportStats) {
+        let m = ServerMetrics::new();
+        m.record_request("repair", 200);
+        m.record_request("repair", 200);
+        m.record_request("repair", 400);
+        m.record_shed();
+        m.record_latency("ICEBAR", 1_500);
+        m.record_latency("ATR", 800);
+        m.queue_depth_add(2);
+        m.queue_depth_add(-1);
+        m.inflight_add(1);
+        m.record_deadline_exceeded();
+        let transport = TransportStats::new();
+        transport.retries.add(3);
+        transport.giveups.add(1);
+        transport
+            .faults
+            .record(specrepair_faults::FaultKind::Timeout);
+        transport
+            .faults
+            .record(specrepair_faults::FaultKind::RateLimit);
+        transport
+            .faults
+            .record(specrepair_faults::FaultKind::RateLimit);
+        (m, transport)
+    }
+
+    /// The shard snapshot the golden files were rendered from: every
+    /// section populated, with a degraded persistent tier.
+    pub(crate) fn golden<'a>(
+        metrics: &'a ServerMetrics,
+        transport: &'a TransportStats,
+    ) -> Snapshot<'a> {
+        Snapshot {
+            oracle: OracleCacheStats {
+                hits: 12,
+                misses: 4,
+                solver_invocations: 5,
+                errors: 1,
+                evictions: 2,
+                persist_hits: 3,
+                collapsed: 1,
+            },
+            memoized_specs: 6,
+            dedup: DedupStats {
+                hits: 4,
+                misses: 12,
+                coalesced: 1,
+            },
+            incremental: IncrementalStats {
+                sessions: 2,
+                checks: 8,
+                fallbacks: 1,
+                activation_vars: 8,
+                clauses_reused: 30,
+                clauses_total: 40,
+                learned_clauses_retained: 5,
+            },
+            persist: Some(PersistStats {
+                preloaded: 7,
+                quarantined: 1,
+                live_entries: 9,
+                disk_lines: 11,
+                disk_good: 10,
+                hits: 3,
+                lookups: 5,
+                appends: 2,
+                append_errors: 1,
+                skipped_degraded: 1,
+                breaker_trips: 1,
+                degraded: true,
+                compactions: 1,
+                compaction_failures: 0,
+                injected_write_errors: 2,
+                injected_short_writes: 0,
+                injected_bit_flips: 1,
+            }),
+            cluster: ClusterSection::Shard(ShardConfig {
+                shard_id: 1,
+                peers: vec!["a:1".to_string(), "b:2".to_string(), "c:3".to_string()],
+            }),
+            ..idle(metrics, transport)
+        }
+    }
+
+    /// Zeroes the timing-dependent uptime in either format.
+    fn normalize_uptime(text: &str) -> String {
+        text.trim_end()
+            .lines()
+            .map(|line| {
+                if line.trim_start().starts_with("\"uptime_ms\":") {
+                    "  \"uptime_ms\": 0,".to_string()
+                } else if line.starts_with("specrepair_uptime_ms ") {
+                    "specrepair_uptime_ms 0".to_string()
+                } else {
+                    line.to_string()
+                }
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
 
     #[test]
     fn histogram_percentiles_are_ordered_and_bounded() {
@@ -425,37 +426,46 @@ mod tests {
         m.record_latency("ICEBAR", 1_500);
         m.queue_depth_add(2);
         m.queue_depth_add(-1);
-        assert_eq!(m.requests_for("repair"), 3);
-        assert_eq!(m.requests_for("admission"), 1);
+        let requests_for = |endpoint: &str| -> u64 {
+            m.registry
+                .gather()
+                .iter()
+                .filter(|s| {
+                    s.labels
+                        .contains(&("endpoint".to_string(), endpoint.to_string()))
+                })
+                .map(|s| match s.value {
+                    SampleValue::Counter(n) => n,
+                    _ => 0,
+                })
+                .sum()
+        };
+        assert_eq!(requests_for("repair"), 3);
+        assert_eq!(requests_for("admission"), 1);
         assert_eq!(m.queue_depth(), 1);
         let transport = TransportStats::new();
         transport.retries.add(3);
         transport
             .faults
             .record(specrepair_faults::FaultKind::Timeout);
-        let dedup = DedupStats {
-            hits: 4,
-            misses: 12,
-            coalesced: 1,
-        };
-        let incremental = IncrementalStats {
-            sessions: 2,
-            checks: 8,
-            fallbacks: 1,
-            activation_vars: 8,
-            clauses_reused: 30,
-            clauses_total: 40,
-            learned_clauses_retained: 5,
-        };
-        let doc = m.render(
-            &OracleCacheStats::default(),
-            0,
-            &dedup,
-            &incremental,
-            &transport,
-            None,
-            ClusterSection::Off,
-        );
+        let doc = Snapshot {
+            dedup: DedupStats {
+                hits: 4,
+                misses: 12,
+                coalesced: 1,
+            },
+            incremental: IncrementalStats {
+                sessions: 2,
+                checks: 8,
+                fallbacks: 1,
+                activation_vars: 8,
+                clauses_reused: 30,
+                clauses_total: 40,
+                learned_clauses_retained: 5,
+            },
+            ..idle(&m, &transport)
+        }
+        .to_json();
         for needle in [
             "\"repair\"",
             "\"200\": 2",
@@ -490,6 +500,7 @@ mod tests {
     #[test]
     fn persistent_section_renders_when_attached() {
         let m = ServerMetrics::new();
+        let transport = TransportStats::new();
         let persist = PersistStats {
             preloaded: 7,
             live_entries: 9,
@@ -500,15 +511,11 @@ mod tests {
             breaker_trips: 1,
             ..PersistStats::default()
         };
-        let doc = m.render(
-            &OracleCacheStats::default(),
-            0,
-            &DedupStats::default(),
-            &IncrementalStats::default(),
-            &TransportStats::new(),
-            Some(&persist),
-            ClusterSection::Off,
-        );
+        let doc = Snapshot {
+            persist: Some(persist),
+            ..idle(&m, &transport)
+        }
+        .to_json();
         for needle in [
             "\"persistent\"",
             "\"enabled\": true",
@@ -523,19 +530,15 @@ mod tests {
     #[test]
     fn cluster_section_renders_when_provided() {
         let m = ServerMetrics::new();
-        let cluster = ClusterSection::Shard(ShardClusterSection {
-            shard_id: 2,
-            peers: 3,
-        });
-        let doc = m.render(
-            &OracleCacheStats::default(),
-            0,
-            &DedupStats::default(),
-            &IncrementalStats::default(),
-            &TransportStats::new(),
-            None,
-            cluster,
-        );
+        let transport = TransportStats::new();
+        let doc = Snapshot {
+            cluster: ClusterSection::Shard(ShardConfig {
+                shard_id: 2,
+                peers: vec!["a:1".to_string(), "b:2".to_string(), "c:3".to_string()],
+            }),
+            ..idle(&m, &transport)
+        }
+        .to_json();
         for needle in [
             "\"cluster\"",
             "\"role\": \"shard\"",
@@ -548,105 +551,62 @@ mod tests {
 
     /// The legacy `GET /metrics` document must stay byte-identical across
     /// the registry rebase. The golden file was generated by the
-    /// pre-registry renderer from exactly the inputs below; only the
-    /// timing-dependent `uptime_ms` line is normalized.
+    /// pre-registry renderer from exactly the inputs of [`golden_daemon`]
+    /// and [`golden`]; only the timing-dependent `uptime_ms` line is
+    /// normalized.
     #[test]
     fn metrics_document_matches_pre_registry_golden() {
-        let golden = include_str!("../testdata/metrics_golden.json");
+        let (m, transport) = golden_daemon();
+        assert_eq!(
+            normalize_uptime(&golden(&m, &transport).to_json()),
+            normalize_uptime(include_str!("../testdata/metrics_golden.json")),
+            "legacy /metrics document drifted from the golden file"
+        );
+    }
+
+    /// The `GET /metrics/prom` exposition of the same inputs, pinned by a
+    /// golden file rendered before the metrics were described once.
+    #[test]
+    fn exposition_matches_golden() {
+        let (m, transport) = golden_daemon();
+        assert_eq!(
+            normalize_uptime(&golden(&m, &transport).to_prom()),
+            normalize_uptime(include_str!("../testdata/metrics_golden.prom")),
+            "/metrics/prom exposition drifted from the golden file"
+        );
+    }
+
+    /// A router's document and exposition with one shard row, pinned the
+    /// same way.
+    #[test]
+    fn router_snapshot_matches_golden() {
         let m = ServerMetrics::new();
         m.record_request("repair", 200);
-        m.record_request("repair", 200);
-        m.record_request("repair", 400);
-        m.record_shed();
-        m.record_latency("ICEBAR", 1_500);
-        m.record_latency("ATR", 800);
-        m.queue_depth_add(2);
-        m.queue_depth_add(-1);
-        m.inflight_add(1);
-        m.record_deadline_exceeded();
-        let oracle = OracleCacheStats {
-            hits: 12,
-            misses: 4,
-            solver_invocations: 5,
-            errors: 1,
-            evictions: 2,
-            persist_hits: 3,
-            collapsed: 1,
-        };
-        let dedup = DedupStats {
-            hits: 4,
-            misses: 12,
-            coalesced: 1,
-        };
-        let incremental = IncrementalStats {
-            sessions: 2,
-            checks: 8,
-            fallbacks: 1,
-            activation_vars: 8,
-            clauses_reused: 30,
-            clauses_total: 40,
-            learned_clauses_retained: 5,
-        };
         let transport = TransportStats::new();
-        transport.retries.add(3);
-        transport.giveups.add(1);
-        transport
-            .faults
-            .record(specrepair_faults::FaultKind::Timeout);
-        transport
-            .faults
-            .record(specrepair_faults::FaultKind::RateLimit);
-        transport
-            .faults
-            .record(specrepair_faults::FaultKind::RateLimit);
-        let persist = PersistStats {
-            preloaded: 7,
-            quarantined: 1,
-            live_entries: 9,
-            disk_lines: 11,
-            disk_good: 10,
-            hits: 3,
-            lookups: 5,
-            appends: 2,
-            append_errors: 1,
-            skipped_degraded: 1,
-            breaker_trips: 1,
-            degraded: true,
-            compactions: 1,
-            compaction_failures: 0,
-            injected_write_errors: 2,
-            injected_short_writes: 0,
-            injected_bit_flips: 1,
-        };
-        let cluster = ClusterSection::Shard(ShardClusterSection {
-            shard_id: 1,
-            peers: 3,
-        });
-        let doc = m.render(
-            &oracle,
-            6,
-            &dedup,
-            &incremental,
-            &transport,
-            Some(&persist),
-            cluster,
-        );
-        let normalize = |text: &str| -> String {
-            text.lines()
-                .map(|line| {
-                    if line.trim_start().starts_with("\"uptime_ms\":") {
-                        "  \"uptime_ms\": 0,".to_string()
-                    } else {
-                        line.to_string()
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
+        let router = Snapshot {
+            cluster: ClusterSection::Router(RouterClusterSection {
+                shards: vec![RouterShardRow {
+                    addr: "127.0.0.1:7971".to_string(),
+                    forwarded: 9,
+                    retries: 1,
+                    failures: 2,
+                    breaker_open: true,
+                }],
+                degraded_local_solves: 4,
+                breaker_trips: 5,
+                skipped_open: 6,
+            }),
+            ..idle(&m, &transport)
         };
         assert_eq!(
-            normalize(&doc),
-            normalize(golden.trim_end()),
-            "legacy /metrics document drifted from the golden file"
+            normalize_uptime(&router.to_json()),
+            normalize_uptime(include_str!("../testdata/metrics_router_golden.json")),
+            "router /metrics document drifted from the golden file"
+        );
+        assert_eq!(
+            normalize_uptime(&router.to_prom()),
+            normalize_uptime(include_str!("../testdata/metrics_router_golden.prom")),
+            "router /metrics/prom exposition drifted from the golden file"
         );
     }
 }

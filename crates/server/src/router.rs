@@ -30,15 +30,13 @@ use specrepair_cluster::client;
 use specrepair_cluster::ShardRing;
 use specrepair_core::OracleHandle;
 use specrepair_faults::CallBreaker;
-use specrepair_telemetry::{
-    fleet_document, prom, ClusterSection, RouterClusterSection, RouterShardRow, ShardScrape,
-    Snapshot,
-};
+use specrepair_telemetry::{fleet_document, prom, ShardScrape};
 
 use crate::engine::{self, Admission, HttpApp};
 use crate::http::{Request, Response};
 use crate::metrics::ServerMetrics;
 use crate::service::{RepairService, ServiceConfig};
+use crate::snapshot::{ClusterSection, RouterClusterSection, RouterShardRow, Snapshot};
 
 /// Consecutive transport failures (after the in-call retry) that open a
 /// shard's breaker — the same discipline as the persistent tier's.
@@ -311,19 +309,10 @@ fn cluster_section(state: &RouterState) -> ClusterSection {
     })
 }
 
-/// The router's full telemetry snapshot (its own counters, degraded-path
-/// service stats, and the per-shard forwarding section).
-fn full_snapshot(state: &RouterState) -> Snapshot {
-    let oracle = state.local.oracle();
-    state.metrics.snapshot(
-        &oracle.stats(),
-        oracle.service().memoized_specs(),
-        &oracle.dedup_stats(),
-        &oracle.incremental_stats(),
-        state.local.transport_stats(),
-        None,
-        cluster_section(state),
-    )
+/// Reads the router's metrics: its own counters, its degraded-path
+/// service's stats, and the per-shard forwarding section.
+fn snapshot(state: &RouterState) -> Snapshot<'_> {
+    Snapshot::read(&state.metrics, &state.local, None, cluster_section(state))
 }
 
 /// Read timeout for one shard telemetry scrape: a snapshot render is a
@@ -391,14 +380,8 @@ fn route(state: &Arc<RouterState>, request: &Request) -> Response {
             "techniques",
             Response::json(200, RepairService::techniques_document()),
         ),
-        ("GET", "/metrics") => (
-            "metrics",
-            Response::json(200, full_snapshot(state).to_json()),
-        ),
-        ("GET", "/metrics/prom") => (
-            "metrics",
-            Response::text(200, prom::render(&full_snapshot(state))),
-        ),
+        ("GET", "/metrics") => ("metrics", Response::json(200, snapshot(state).to_json())),
+        ("GET", "/metrics/prom") => ("metrics", Response::text(200, snapshot(state).to_prom())),
         ("GET", "/cluster/metrics") => ("cluster_metrics", cluster_metrics(state)),
         ("POST", "/repair") => ("repair", route_repair(state, &request.body_text())),
         ("POST", "/shutdown") => {

@@ -16,12 +16,13 @@ use std::thread::JoinHandle;
 use specrepair_cache::PersistentCache;
 use specrepair_core::OracleHandle;
 use specrepair_faults::DiskFaultPlan;
-use specrepair_telemetry::{ClusterSection, History, ShardClusterSection, Snapshot};
+use specrepair_telemetry::History;
 
 use crate::engine::{self, Admission, HttpApp};
 use crate::http::{Request, Response};
 use crate::metrics::{ServerMetrics, TraceTotals};
 use crate::service::{RepairService, ServiceConfig};
+use crate::snapshot::{ClusterSection, Snapshot};
 
 pub use specrepair_cluster::client::{read_response, roundtrip};
 
@@ -269,13 +270,10 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         trace_enabled: config.trace,
         admission: Admission::new(config.queue_capacity, config.shutdown_file.clone(), addr),
         persist,
-        cluster: match &config.shard {
-            Some(shard) => ClusterSection::Shard(ShardClusterSection {
-                shard_id: shard.shard_id as u64,
-                peers: shard.peers.len() as u64,
-            }),
-            None => ClusterSection::Off,
-        },
+        cluster: config
+            .shard
+            .clone()
+            .map_or(ClusterSection::Off, ClusterSection::Shard),
         history: (config.metrics_history_interval_ms > 0).then(|| {
             Arc::new(History::new(
                 config.metrics_history_capacity,
@@ -306,7 +304,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
                     if state.admission.is_draining() {
                         break;
                     }
-                    history.record(full_snapshot(&state).scalars());
+                    history.record(snapshot(&state).scalars());
                 }
             })
             .expect("spawn history sampler")
@@ -327,19 +325,14 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-/// Assembles the daemon's full typed metrics snapshot — the single source
-/// behind `/metrics`, `/metrics/prom`, the history sampler and the
-/// router's fleet scrape.
-fn full_snapshot(state: &ServerState) -> Snapshot {
-    let oracle = state.service.oracle();
+/// Reads the daemon's metrics — the single source behind `/metrics`,
+/// `/metrics/prom`, the history sampler and the router's fleet scrape.
+fn snapshot(state: &ServerState) -> Snapshot<'_> {
     let persist = state.persist.as_ref().map(|p| p.stats());
-    state.metrics.snapshot(
-        &oracle.stats(),
-        oracle.service().memoized_specs(),
-        &oracle.dedup_stats(),
-        &oracle.incremental_stats(),
-        state.service.transport_stats(),
-        persist.as_ref(),
+    Snapshot::read(
+        &state.metrics,
+        &state.service,
+        persist,
         state.cluster.clone(),
     )
 }
@@ -362,17 +355,8 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
             "techniques",
             Response::json(200, RepairService::techniques_document()),
         ),
-        ("GET", "/metrics") => (
-            "metrics",
-            Response::json(200, full_snapshot(state).to_json()),
-        ),
-        ("GET", "/metrics/prom") => (
-            "metrics",
-            Response::text(
-                200,
-                specrepair_telemetry::prom::render(&full_snapshot(state)),
-            ),
-        ),
+        ("GET", "/metrics") => ("metrics", Response::json(200, snapshot(state).to_json())),
+        ("GET", "/metrics/prom") => ("metrics", Response::text(200, snapshot(state).to_prom())),
         ("GET", "/metrics/history") => {
             let body = match &state.history {
                 Some(history) => history.to_json(),

@@ -1,7 +1,8 @@
 //! The time-series layer: a fixed-capacity ring of scalar samples.
 //!
 //! A sampler thread (owned by the server) calls [`History::record`] with
-//! [`crate::snapshot::Snapshot::scalars`] every `--metrics-history-interval`.
+//! every scalar series of the daemon's sample list (histograms as their
+//! `_count` and `_sum`) every `--metrics-history-interval`.
 //! Samples carry a deterministic tick index (0, 1, 2, …) rather than a
 //! wall-clock timestamp, so test assertions and replayed studies don't
 //! depend on scheduler timing; the configured interval is reported once in

@@ -1,99 +1,20 @@
-//! Prometheus text exposition: [`render`] turns a [`Snapshot`]'s sample
-//! list into the text format, [`parse`] reads it back into samples.
+//! Prometheus text exposition: [`render`] turns a sample list into the
+//! text format, [`parse`] reads it back into samples.
 //!
 //! The parser exists so the repo can verify its own exposition end to end
-//! — the round-trip test asserts `parse(render(snapshot))` equals the
-//! snapshot's own (sorted) sample list, including full histogram bucket
-//! detail. Histograms follow the Prometheus convention exactly: one
-//! `_bucket` line per log₂ upper bound with *cumulative* counts, a
-//! trailing `+Inf` bucket, then `_sum` (microseconds) and `_count`.
-//! Because the text format has no slot for a histogram's observed max,
-//! each histogram family `X` travels with a companion gauge family
-//! `X_max`; the parser folds it back into the decoded histogram so the
-//! round trip loses nothing.
+//! — the round-trip test asserts `parse(render(samples))` equals the
+//! (sorted) sample list, including full histogram bucket detail.
+//! Histograms follow the Prometheus convention exactly: one `_bucket` line
+//! per log₂ upper bound with *cumulative* counts, a trailing `+Inf`
+//! bucket, then `_sum` (microseconds) and `_count`. Because the text
+//! format has no slot for a histogram's observed max, a histogram family
+//! `X` may travel with a companion gauge family `X_max`; the parser folds
+//! it back into the decoded histogram so the round trip loses nothing.
 
 use std::collections::BTreeMap;
 
 use crate::metric::{bucket_upper_micros, HistogramSnapshot, BUCKETS};
 use crate::registry::{MetricKind, Sample, SampleValue};
-use crate::snapshot::Snapshot;
-
-/// Help text for every canonical family ([`Snapshot::samples`] names).
-/// Unknown names render without a `# HELP` line.
-pub fn help_text(name: &str) -> &'static str {
-    match name {
-        "specrepair_uptime_ms" => "Milliseconds since the daemon booted.",
-        "specrepair_queue_depth" => "Requests waiting in the admission queue.",
-        "specrepair_inflight" => "Requests currently executing in workers.",
-        "specrepair_shed_total" => "Connections shed at admission.",
-        "specrepair_deadline_exceeded_total" => "Repairs that exceeded their deadline.",
-        "specrepair_requests_total" => "Requests served, by endpoint and status.",
-        "specrepair_repair_latency_us" => "Repair latency in microseconds, by technique.",
-        "specrepair_repair_latency_us_max" => {
-            "Maximum observed repair latency in microseconds, by technique."
-        }
-        "specrepair_oracle_hits_total" => "Oracle queries answered from the memo table.",
-        "specrepair_oracle_misses_total" => "Oracle queries that had to solve.",
-        "specrepair_oracle_solver_invocations_total" => "Analyzer invocations executed.",
-        "specrepair_oracle_errors_total" => "Oracle queries that ended in an analyzer error.",
-        "specrepair_oracle_evictions_total" => "Memoized entries evicted for capacity.",
-        "specrepair_oracle_hit_rate" => "Fraction of oracle queries answered from cache.",
-        "specrepair_oracle_memoized_specs" => "Memoized spec entries currently held.",
-        "specrepair_oracle_persist_hits_total" => "Verdicts answered by the persistent tier.",
-        "specrepair_oracle_collapsed_total" => "Queries collapsed onto an in-flight solve.",
-        "specrepair_dedup_hits_total" => "Verdict queries answered without a solve of their own.",
-        "specrepair_dedup_misses_total" => "Verdict queries that solved.",
-        "specrepair_dedup_coalesced_total" => "Verdict hits that waited on an in-flight solve.",
-        "specrepair_dedup_rate" => "Fraction of verdict queries answered without a solve.",
-        "specrepair_incremental_sessions_total" => "Incremental oracle sessions created.",
-        "specrepair_incremental_checks_total" => "Checks answered incrementally.",
-        "specrepair_incremental_fallbacks_total" => "Checks the incremental engine declined.",
-        "specrepair_incremental_activation_vars_total" => "Activation literals allocated.",
-        "specrepair_incremental_clause_reuse_rate" => "Fraction of per-check clauses reused.",
-        "specrepair_incremental_learned_clauses_retained_total" => {
-            "Learnt clauses carried between checks."
-        }
-        "specrepair_persist_enabled" => "Whether a persistent verdict tier is configured.",
-        "specrepair_persist_degraded" => "Whether the persistent tier is degraded.",
-        "specrepair_persist_preloaded" => "Entries recovered from disk at open.",
-        "specrepair_persist_quarantined" => "Corrupt or torn records skipped at open.",
-        "specrepair_persist_live_entries" => "Entries held in the persistent tier's memory.",
-        "specrepair_persist_disk_lines" => "Lines currently in the live log file.",
-        "specrepair_persist_disk_good" => "Valid records currently in the live log file.",
-        "specrepair_persist_lookups_total" => "Persistent-tier lookups.",
-        "specrepair_persist_hits_total" => "Persistent-tier lookups that found a verdict.",
-        "specrepair_persist_appends_total" => "Records durably appended.",
-        "specrepair_persist_append_errors_total" => "Appends that failed.",
-        "specrepair_persist_skipped_degraded_total" => "Records skipped while degraded.",
-        "specrepair_persist_breaker_trips_total" => "Disk-breaker trips.",
-        "specrepair_persist_compactions_total" => "Completed log compactions.",
-        "specrepair_persist_compaction_failures_total" => "Failed compaction attempts.",
-        "specrepair_persist_injected_write_errors_total" => "Injected write errors (chaos).",
-        "specrepair_persist_injected_short_writes_total" => "Injected short writes (chaos).",
-        "specrepair_persist_injected_bit_flips_total" => "Injected bit flips (chaos).",
-        "specrepair_cluster_enabled" => "Whether cluster mode is enabled, labeled by role.",
-        "specrepair_cluster_shard_id" => "This daemon's index into the peer list.",
-        "specrepair_cluster_peers" => "Cluster size.",
-        "specrepair_router_forwarded_total" => "Requests forwarded, by shard.",
-        "specrepair_router_retries_total" => "Forward retries, by shard.",
-        "specrepair_router_failures_total" => "Forwards that failed after retry, by shard.",
-        "specrepair_router_breaker_open" => "Whether the shard's breaker is open, by shard.",
-        "specrepair_router_degraded_local_solves_total" => {
-            "Requests the router solved itself because the owner was down."
-        }
-        "specrepair_router_breaker_trips_total" => "Shard-breaker trips at the router.",
-        "specrepair_router_skipped_open_total" => "Forwards skipped on an open shard breaker.",
-        "specrepair_transport_retries_total" => "LM transport attempts retried.",
-        "specrepair_transport_giveups_total" => "LM calls whose retry budget was exhausted.",
-        "specrepair_transport_breaker_trips_total" => "LM circuit-breaker trips.",
-        "specrepair_transport_breaker_rejections_total" => "LM calls rejected by an open breaker.",
-        "specrepair_transport_cancelled_backoffs_total" => {
-            "LM backoff waits cut short by cancellation."
-        }
-        "specrepair_transport_injected_faults_total" => "Injected LM faults, by kind.",
-        _ => "",
-    }
-}
 
 /// Sorts samples by family name, then label set — the canonical order
 /// both [`render`] and [`parse`] produce.
@@ -136,17 +57,18 @@ fn write_series(out: &mut String, name: &str, labels: &[(String, String)], extra
     out.push(' ');
 }
 
-/// Renders the snapshot's sample list as Prometheus text exposition,
-/// families sorted by name, series sorted by label set.
-pub fn render(snapshot: &Snapshot) -> String {
-    let mut samples = snapshot.samples();
+/// Renders a sample list as Prometheus text exposition, families sorted
+/// by name, series sorted by label set. `help` gives each family's
+/// `# HELP` text; a family it answers empty for renders without one.
+pub fn render(samples: &[Sample], help: impl Fn(&str) -> &'static str) -> String {
+    let mut samples = samples.to_vec();
     sort_samples(&mut samples);
     let mut out = String::new();
     let mut current_family: Option<&str> = None;
     for sample in &samples {
         if current_family != Some(sample.name.as_str()) {
             current_family = Some(sample.name.as_str());
-            let help = help_text(&sample.name);
+            let help = help(&sample.name);
             if !help.is_empty() {
                 out.push_str("# HELP ");
                 out.push_str(&sample.name);
@@ -473,14 +395,67 @@ pub fn parse(text: &str) -> Result<Vec<Sample>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::tests::rich_snapshot;
+
+    fn sample(name: &str, labels: &[(&str, &str)], value: SampleValue) -> Sample {
+        Sample {
+            name: name.to_string(),
+            labels: labels
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            value,
+        }
+    }
+
+    /// One sample of every kind: plain and labeled counters, a gauge, and
+    /// two histograms with their companion `_max` gauges.
+    fn samples() -> Vec<Sample> {
+        let mut atr = HistogramSnapshot::default();
+        atr.record(800);
+        atr.record(2_100);
+        let mut icebar = HistogramSnapshot::default();
+        icebar.record(1_500);
+        let mut out = vec![
+            sample("specrepair_shed_total", &[], SampleValue::Counter(1)),
+            sample("specrepair_oracle_hit_rate", &[], SampleValue::Gauge(0.75)),
+            sample(
+                "specrepair_requests_total",
+                &[("endpoint", "repair"), ("status", "200")],
+                SampleValue::Counter(2),
+            ),
+            sample(
+                "specrepair_requests_total",
+                &[("endpoint", "repair"), ("status", "400")],
+                SampleValue::Counter(1),
+            ),
+        ];
+        for (technique, h) in [("ATR", atr), ("ICEBAR", icebar)] {
+            let labels = [("technique", technique)];
+            let max = SampleValue::Gauge(h.max_micros() as f64);
+            out.push(sample(
+                "specrepair_repair_latency_us",
+                &labels,
+                SampleValue::Histogram(h),
+            ));
+            out.push(sample("specrepair_repair_latency_us_max", &labels, max));
+        }
+        out
+    }
+
+    /// Help for every fixture family but the gauge.
+    fn help(family: &str) -> &'static str {
+        if family == "specrepair_oracle_hit_rate" {
+            ""
+        } else {
+            "Fixture family."
+        }
+    }
 
     #[test]
     fn render_parse_round_trips_every_sample_exactly() {
-        let snapshot = rich_snapshot();
-        let text = render(&snapshot);
+        let text = render(&samples(), help);
         let parsed = parse(&text).expect("own exposition parses");
-        let mut expected = snapshot.samples();
+        let mut expected = samples();
         sort_samples(&mut expected);
         assert_eq!(parsed.len(), expected.len());
         for (got, want) in parsed.iter().zip(expected.iter()) {
@@ -490,7 +465,7 @@ mod tests {
 
     #[test]
     fn histogram_exposition_is_cumulative_and_terminated_by_inf() {
-        let text = render(&rich_snapshot());
+        let text = render(&samples(), help);
         // ATR recorded 800µs and 2100µs: bucket le=1024 holds one
         // observation cumulatively, le=4096 both, and +Inf stays at 2.
         for needle in [
@@ -499,10 +474,20 @@ mod tests {
             "specrepair_repair_latency_us_bucket{technique=\"ATR\",le=\"+Inf\"} 2",
             "specrepair_repair_latency_us_sum{technique=\"ATR\"} 2900",
             "specrepair_repair_latency_us_count{technique=\"ATR\"} 2",
+            "# HELP specrepair_repair_latency_us Fixture family.",
             "# TYPE specrepair_repair_latency_us histogram",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+        // A family without help text still gets its TYPE line.
+        assert!(
+            !text.contains("# HELP specrepair_oracle_hit_rate"),
+            "{text}"
+        );
+        assert!(
+            text.contains("# TYPE specrepair_oracle_hit_rate gauge"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -531,16 +516,5 @@ h_bucket{le=\"4\"} 3
             vec![("path".to_string(), "a\"b\\c".to_string())]
         );
         assert_eq!(samples[0].value, SampleValue::Counter(7));
-    }
-
-    #[test]
-    fn every_canonical_family_has_help_text() {
-        for sample in rich_snapshot().samples() {
-            assert!(
-                !help_text(&sample.name).is_empty(),
-                "no help text for `{}`",
-                sample.name
-            );
-        }
     }
 }

@@ -10,8 +10,9 @@
 //! the same cost profile as the map-of-counters it replaces.
 //!
 //! [`Registry::gather`] walks every family in name order and every series
-//! in label order, which is what makes the JSON document's section
-//! ordering and the Prometheus exposition deterministic.
+//! in label order, so the rows a document builds from it come out in a
+//! fixed order. Help text is not kept here: it belongs with the owner's
+//! description of each family, next to the format it renders.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -122,10 +123,9 @@ enum Handle {
     Histogram(Arc<Histogram>),
 }
 
-/// One metric family: a help string, a kind, and every labeled series.
+/// One metric family: a kind, and every labeled series.
 #[derive(Debug)]
 struct Family {
-    help: &'static str,
     kind: MetricKind,
     /// Label set → handle. BTreeMap so gather order is deterministic.
     series: BTreeMap<Vec<(String, String)>, Handle>,
@@ -143,20 +143,13 @@ impl Registry {
         Registry::default()
     }
 
-    fn handle(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        kind: MetricKind,
-        labels: &[(&str, &str)],
-    ) -> Handle {
+    fn handle(&self, name: &'static str, kind: MetricKind, labels: &[(&str, &str)]) -> Handle {
         let key: Vec<(String, String)> = labels
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
         let mut families = self.families.lock().unwrap();
         let family = families.entry(name).or_insert_with(|| Family {
-            help,
             kind,
             series: BTreeMap::new(),
         });
@@ -176,34 +169,24 @@ impl Registry {
     }
 
     /// Registers (or fetches) a counter series.
-    pub fn counter(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&str, &str)],
-    ) -> Counter {
-        match self.handle(name, help, MetricKind::Counter, labels) {
+    pub fn counter(&self, name: &'static str, labels: &[(&str, &str)]) -> Counter {
+        match self.handle(name, MetricKind::Counter, labels) {
             Handle::Counter(c) => c,
             _ => unreachable!("kind checked in handle()"),
         }
     }
 
     /// Registers (or fetches) a gauge series.
-    pub fn gauge(&self, name: &'static str, help: &'static str, labels: &[(&str, &str)]) -> Gauge {
-        match self.handle(name, help, MetricKind::Gauge, labels) {
+    pub fn gauge(&self, name: &'static str, labels: &[(&str, &str)]) -> Gauge {
+        match self.handle(name, MetricKind::Gauge, labels) {
             Handle::Gauge(g) => g,
             _ => unreachable!("kind checked in handle()"),
         }
     }
 
     /// Registers (or fetches) a histogram series.
-    pub fn histogram(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&str, &str)],
-    ) -> Arc<Histogram> {
-        match self.handle(name, help, MetricKind::Histogram, labels) {
+    pub fn histogram(&self, name: &'static str, labels: &[(&str, &str)]) -> Arc<Histogram> {
+        match self.handle(name, MetricKind::Histogram, labels) {
             Handle::Histogram(h) => h,
             _ => unreachable!("kind checked in handle()"),
         }
@@ -230,16 +213,6 @@ impl Registry {
         }
         samples
     }
-
-    /// The help string registered for a family (empty when unknown).
-    pub fn help(&self, name: &str) -> &'static str {
-        self.families
-            .lock()
-            .unwrap()
-            .get(name)
-            .map(|f| f.help)
-            .unwrap_or("")
-    }
 }
 
 #[cfg(test)]
@@ -249,24 +222,24 @@ mod tests {
     #[test]
     fn registration_is_idempotent_and_shared() {
         let registry = Registry::new();
-        let a = registry.counter("hits_total", "hits", &[("shard", "0")]);
-        let b = registry.counter("hits_total", "hits", &[("shard", "0")]);
+        let a = registry.counter("hits_total", &[("shard", "0")]);
+        let b = registry.counter("hits_total", &[("shard", "0")]);
         a.inc();
         b.add(2);
         assert_eq!(a.get(), 3, "same (name, labels) shares one cell");
-        let other = registry.counter("hits_total", "hits", &[("shard", "1")]);
+        let other = registry.counter("hits_total", &[("shard", "1")]);
         assert_eq!(other.get(), 0, "different labels, different series");
     }
 
     #[test]
     fn gather_is_sorted_by_name_then_labels() {
         let registry = Registry::new();
-        registry.gauge("z_depth", "depth", &[]).set(7);
+        registry.gauge("z_depth", &[]).set(7);
         registry
-            .counter("a_total", "a", &[("endpoint", "repair"), ("status", "400")])
+            .counter("a_total", &[("endpoint", "repair"), ("status", "400")])
             .inc();
         registry
-            .counter("a_total", "a", &[("endpoint", "repair"), ("status", "200")])
+            .counter("a_total", &[("endpoint", "repair"), ("status", "200")])
             .add(2);
         let samples = registry.gather();
         let ids: Vec<String> = samples.iter().map(|s| s.id()).collect();
@@ -286,8 +259,8 @@ mod tests {
     #[should_panic(expected = "different kinds")]
     fn kind_conflict_is_a_programmer_error() {
         let registry = Registry::new();
-        registry.counter("x_total", "x", &[]);
-        registry.gauge("x_total", "x", &[]);
+        registry.counter("x_total", &[]);
+        registry.gauge("x_total", &[]);
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub mod aunit;
 pub mod equisat;
 pub mod error;
 pub mod incremental;
-pub mod minimize;
 pub mod oracle;
 pub mod persist;
 pub mod report;
@@ -52,7 +51,6 @@ pub use aunit::{AUnitTest, TestSuite};
 pub use equisat::{compare, CommandComparison, EquisatReport};
 pub use error::AnalyzerError;
 pub use incremental::{IncrementalEngine, IncrementalStats};
-pub use minimize::minimize_witness;
 pub use oracle::{DedupStats, Oracle, OracleCacheStats};
 pub use persist::VerdictStore;
 pub use report::{AnalyzerReport, CommandReport, CommandStatus};

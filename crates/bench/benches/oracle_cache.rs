@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mualloy_analyzer::{Analyzer, Oracle};
 use specrepair_bench::{bench_config, bench_problems};
 use specrepair_core::OracleHandle;
-use specrepair_study::runner::repair_with_oracle;
+use specrepair_study::runner::evaluate_cell;
 use specrepair_study::TechniqueId;
 
 fn bench_oracle_cache(c: &mut Criterion) {
@@ -24,7 +24,7 @@ fn bench_oracle_cache(c: &mut Criterion) {
             let oracle = OracleHandle::fresh();
             TechniqueId::all()
                 .iter()
-                .filter(|id| repair_with_oracle(&oracle, **id, p, &config).success)
+                .filter(|&&id| evaluate_cell(&oracle, id, p, &config).internal_success)
                 .count()
         })
     });
@@ -33,7 +33,7 @@ fn bench_oracle_cache(c: &mut Criterion) {
             let oracle = OracleHandle::disabled();
             TechniqueId::all()
                 .iter()
-                .filter(|id| repair_with_oracle(&oracle, **id, p, &config).success)
+                .filter(|&&id| evaluate_cell(&oracle, id, p, &config).internal_success)
                 .count()
         })
     });

@@ -20,7 +20,7 @@ fn bench_portfolio_speedup(c: &mut Criterion) {
             let name = format!("{}_{suffix}", roster.label());
             group.bench_function(&name, |b| {
                 b.iter(|| {
-                    portfolio::race(&OracleHandle::fresh(), roster, p, &config, Some(workers))
+                    portfolio::race(&OracleHandle::fresh(), roster, p, &config, workers)
                         .outcome
                         .success
                 })

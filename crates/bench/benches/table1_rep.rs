@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use specrepair_bench::{bench_config, bench_problems};
+use specrepair_core::OracleHandle;
 use specrepair_llm::{FeedbackSetting, PromptSetting};
-use specrepair_study::runner::evaluate;
+use specrepair_study::runner::evaluate_cell;
 use specrepair_study::TechniqueId;
 
 fn bench_table1(c: &mut Criterion) {
@@ -24,7 +25,7 @@ fn bench_table1(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || problems[0].clone(),
-                |p| evaluate(id, &p, &config),
+                |p| evaluate_cell(&OracleHandle::fresh(), id, &p, &config),
                 BatchSize::SmallInput,
             )
         });
@@ -34,7 +35,9 @@ fn bench_table1(c: &mut Criterion) {
         b.iter(|| {
             TechniqueId::all()
                 .into_iter()
-                .map(|id| evaluate(id, &problems[1], &config).rep as usize)
+                .map(|id| {
+                    evaluate_cell(&OracleHandle::fresh(), id, &problems[1], &config).rep as usize
+                })
                 .sum::<usize>()
         })
     });

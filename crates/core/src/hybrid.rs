@@ -122,64 +122,6 @@ impl<T: HintedRepair> RepairTechnique for LocalizeThenFix<T> {
     }
 }
 
-/// The paper's future-work proposal (§VI): *"a dynamic approach that
-/// selects the most suitable combination of techniques based on the
-/// characteristics of faulty specifications"*. This implementation routes
-/// by symptom: over-constraint symptoms (an expected-satisfiable command
-/// that is unsatisfiable) go to the `systematic` arm first — relaxations
-/// are what template/mutation search excels at — while under-constraint
-/// symptoms go to the `generative` arm first; the other arm remains as
-/// fallback.
-#[derive(Debug)]
-pub struct DynamicSelector<A, B> {
-    name: String,
-    systematic: A,
-    generative: B,
-}
-
-impl<A: RepairTechnique, B: RepairTechnique> DynamicSelector<A, B> {
-    /// Creates a selector named `"Dynamic(<systematic>|<generative>)"`.
-    pub fn new(systematic: A, generative: B) -> Self {
-        let name = format!("Dynamic({}|{})", systematic.name(), generative.name());
-        DynamicSelector {
-            name,
-            systematic,
-            generative,
-        }
-    }
-
-    /// Whether the faulty spec exhibits an over-constraint symptom: some
-    /// command annotated `expect 1` is unsatisfiable.
-    fn over_constrained(ctx: &RepairContext) -> bool {
-        ctx.oracle
-            .service()
-            .failing_commands(&ctx.faulty)
-            .map(|fs| fs.iter().any(|o| o.command.expect == Some(true) && !o.sat))
-            .unwrap_or(false)
-    }
-}
-
-impl<A: RepairTechnique, B: RepairTechnique> RepairTechnique for DynamicSelector<A, B> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn repair(&self, ctx: &RepairContext) -> RepairOutcome {
-        let (first, second): (&dyn RepairTechnique, &dyn RepairTechnique) =
-            if Self::over_constrained(ctx) {
-                (&self.systematic, &self.generative)
-            } else {
-                (&self.generative, &self.systematic)
-            };
-        let out = first.repair(ctx);
-        let out = if out.success { out } else { second.repair(ctx) };
-        RepairOutcome {
-            technique: self.name.clone(),
-            ..out
-        }
-    }
-}
-
 /// Set-level hybrid statistics for a pair of per-spec outcome vectors
 /// (Table II's columns): individual counts, overlap and unique union.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -364,52 +306,6 @@ mod tests {
             "expected non-empty hints, got {}",
             out.rounds
         );
-    }
-
-    #[test]
-    fn dynamic_selector_routes_by_symptom() {
-        // Over-constraint symptom: `run p expect 1` is unsat.
-        let over = RepairContext::new(
-            parse_spec("sig N {} fact { no N } pred p { some N } run p for 3 expect 1").unwrap(),
-            RepairBudget::tiny(),
-        );
-        // Under-constraint symptom: `check A expect 0` has a counterexample.
-        let under = RepairContext::new(
-            parse_spec(
-                "sig N { next: lone N } fact F { some N || no N } \
-                 assert A { all n: N | n not in n.next } check A for 3 expect 0",
-            )
-            .unwrap(),
-            RepairBudget::tiny(),
-        );
-        // Arms that record who ran first by failing with distinct counts.
-        let selector = DynamicSelector::new(
-            Stub {
-                name: "SYS",
-                succeed: true,
-            },
-            Stub {
-                name: "GEN",
-                succeed: true,
-            },
-        );
-        assert_eq!(selector.name(), "Dynamic(SYS|GEN)");
-        // Over-constrained: systematic runs (and succeeds) -> 1 exploration.
-        let out = selector.repair(&over);
-        assert!(out.success);
-        assert_eq!(out.candidates_explored, 1);
-        // Both symptoms still produce an outcome when both arms fail.
-        let failing = DynamicSelector::new(
-            Stub {
-                name: "SYS",
-                succeed: false,
-            },
-            Stub {
-                name: "GEN",
-                succeed: false,
-            },
-        );
-        assert!(!failing.repair(&under).success);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! - [`hybrid`]: the RQ3 compositions — [`hybrid::UnionHybrid`] (sequential
 //!   fallback, whose per-spec repair set is the union of its constituents)
 //!   and [`hybrid::LocalizeThenFix`] (traditional localization feeding an
-//!   LLM-style fixer), plus the overlap statistics behind Table II;
+//!   LLM-style fixer), the arms of the §VI ablation, plus the overlap
+//!   statistics behind Table II;
 //! - [`oracle`]: the repair-side face of the shared memoizing oracle
 //!   service — [`OracleHandle`] (carried by every [`RepairContext`]) and
 //!   [`OracleSession`] (central budget charging: one candidate validated =
@@ -18,6 +19,10 @@
 //! - [`cancel`]: the cooperative [`CancelToken`] (deadline / explicit
 //!   cancel) that lets long-running callers such as `specrepaird` abort a
 //!   repair attempt mid-search with a partial outcome.
+//!
+//! This crate defines what a technique is; it builds none of the studied
+//! ones. `specrepair_study::runner::run_cell` turns a technique id into a
+//! running technique, for the study and for `specrepaird` alike.
 //!
 //! # Example
 //!
@@ -46,9 +51,7 @@ pub mod oracle;
 pub mod technique;
 
 pub use cancel::CancelToken;
-pub use hybrid::{
-    overlap_stats, DynamicSelector, HintedRepair, LocalizeThenFix, OverlapStats, UnionHybrid,
-};
+pub use hybrid::{overlap_stats, HintedRepair, LocalizeThenFix, OverlapStats, UnionHybrid};
 pub use localization::{
     first_hit_rank, localize, localize_with, sites_for_spans, Localization, SuspiciousSite,
 };

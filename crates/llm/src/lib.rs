@@ -18,7 +18,10 @@
 //!
 //! Both pipelines implement [`specrepair_core::RepairTechnique`] and
 //! [`specrepair_core::HintedRepair`], so the hybrid compositions of RQ3
-//! apply unchanged.
+//! apply unchanged. The study and `specrepaird` build them in one place,
+//! `specrepair_study::runner::run_cell`: each cell gets its own
+//! [`ResilientLm`] — [`chaos_stack`] when the run injects faults — whose
+//! counters go to the caller's [`TransportStats`].
 //!
 //! # Example
 //!
@@ -60,41 +63,35 @@ pub use transport::{FaultyLm, LmTransport, LmTransportError};
 /// model behind a [`FaultyLm`] decorator, retried with the near-zero-latency
 /// [`RetryPolicy::snappy`] policy sized so that — when the plan's faults are
 /// all transient — every scheduled fault burst is absorbed and the run's
-/// outcomes are byte-identical to a fault-free run.
-pub fn chaos_stack(plan: specrepair_faults::FaultPlan) -> ResilientLm {
+/// outcomes are byte-identical to a fault-free run. The stack's retries,
+/// breaker events and injected faults are counted in `stats`.
+pub fn chaos_stack(
+    plan: specrepair_faults::FaultPlan,
+    stats: std::sync::Arc<TransportStats>,
+) -> ResilientLm {
     // Size the retry budget to outlast the longest fault burst the plan
     // schedules in a generous call window.
     let worst_burst = plan.max_consecutive_faults(4096);
-    ResilientLm::over(FaultyLm::new(SyntheticLm::default(), plan))
+    let faulty = FaultyLm::new(SyntheticLm::default(), plan).with_stats(stats.faults.clone());
+    ResilientLm::over(faulty)
         .with_policy(RetryPolicy::snappy().with_max_retries(worst_burst.max(4)))
-}
-
-/// Constructs the study's eight LLM-based techniques (five Single-Round
-/// settings + three Multi-Round settings) with the given hints and seed.
-pub fn default_suite(
-    hints: ProblemHints,
-    seed: u64,
-) -> Vec<Box<dyn specrepair_core::RepairTechnique>> {
-    let mut out: Vec<Box<dyn specrepair_core::RepairTechnique>> = Vec::new();
-    for s in PromptSetting::ALL {
-        out.push(Box::new(
-            SingleRound::new(s, seed).with_hints(hints.clone()),
-        ));
-    }
-    for f in FeedbackSetting::ALL {
-        out.push(Box::new(MultiRound::new(f, seed)));
-    }
-    out
+        .with_stats(stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specrepair_core::RepairTechnique;
 
     #[test]
     fn suite_has_eight_techniques_in_paper_order() {
-        let suite = default_suite(ProblemHints::default(), 0);
-        let names: Vec<&str> = suite.iter().map(|t| t.name()).collect();
+        let single = PromptSetting::ALL
+            .into_iter()
+            .map(|s| SingleRound::new(s, 0).name().to_string());
+        let multi = FeedbackSetting::ALL
+            .into_iter()
+            .map(|f| MultiRound::new(f, 0).name().to_string());
+        let names: Vec<String> = single.chain(multi).collect();
         assert_eq!(
             names,
             vec![

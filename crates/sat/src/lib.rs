@@ -30,14 +30,12 @@
 
 pub mod circuit;
 pub mod cnf;
-pub mod dimacs;
 pub mod incremental;
 pub mod solver;
 pub mod stats;
 
 pub use circuit::{BoolRef, Circuit, CircuitMark, FxBuildHasher};
 pub use cnf::{Cnf, Lit, Var};
-pub use dimacs::{parse_dimacs, to_dimacs, ParseDimacsError};
 pub use incremental::{IncrementalSession, SessionStats};
 pub use solver::{SolveResult, Solver};
 pub use stats::SolverStats;

@@ -8,10 +8,17 @@
 //! - `POST /repair` — repair one μAlloy specification with a named
 //!   technique under a budget and a wall-clock deadline; optionally score
 //!   the candidate against a reference (ground-truth) specification.
-//! - `GET /techniques` — the twelve accepted technique labels.
+//! - `GET /techniques` — every accepted technique label: the twelve
+//!   studied techniques plus the five portfolio rosters.
 //! - `GET /healthz` — liveness (reports `draining` during shutdown).
 //! - `GET /metrics` — request counts, per-technique latency percentiles,
-//!   queue depth and the shared oracle's cache statistics.
+//!   queue depth, the shared oracle's cache statistics and the LM
+//!   transport's resilience counters, as JSON.
+//! - `GET /metrics/prom` — the same metrics in the Prometheus text format.
+//! - `GET /metrics/history` — the sampled metrics ring, when the daemon
+//!   was booted with `--metrics-history-interval-ms`.
+//! - `GET /trace/summary` — per-phase span totals since boot, when the
+//!   daemon was booted with `--trace`.
 //! - `POST /shutdown` — graceful shutdown: stop admitting, drain, exit.
 //!
 //! Overload sheds at admission (`503` + `Retry-After`), deadlines cancel
@@ -19,6 +26,11 @@
 //! returns `504` with the partial outcome instead of hanging), and the
 //! bundled [`loadgen`] drives a running daemon for smoke tests and
 //! capacity checks.
+//!
+//! A repair request runs as a study cell keyed by its spec text: the
+//! study runner's [`specrepair_study::runner::run_cell`] builds the
+//! technique, its LM transport stack or a roster's entrants exactly as
+//! the study does.
 //!
 //! The daemon also scales out: `specrepaird route --shards …` runs the
 //! deterministic [`router`] that forwards each repair to the shard owning
@@ -28,7 +40,7 @@
 //! place in the peer list to `/metrics`.
 //!
 //! Module map: [`http`] wire parsing · [`service`] request→repair→response
-//! · [`engine`] threads, queue, shutdown · [`server`] the daemon/shard ·
+//! · `engine` threads, queue, shutdown · [`server`] the daemon/shard ·
 //! [`router`] the cluster front-end · [`metrics`] observability, with
 //! each metric described once in `snapshot` · [`loadgen`] the client.
 

@@ -175,7 +175,7 @@ pub struct LoadgenReport {
     /// *reported* reason, not silently.
     pub metrics_fetch_failures: usize,
     /// Connect retries spent winning the boot race across every `/metrics`
-    /// fetch of the run (bounded per fetch by [`PROBE_ATTEMPTS`]). Nonzero
+    /// fetch of the run (bounded per fetch by `PROBE_ATTEMPTS`). Nonzero
     /// is normal when the generator starts alongside the daemon; it is
     /// counted so a chronically slow boot is visible, not absorbed.
     pub metrics_fetch_retries: usize,

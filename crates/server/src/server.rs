@@ -1,5 +1,5 @@
 //! The `specrepaird serve` daemon: the repair service plugged into the
-//! shared [engine](crate::engine) (blocking acceptor, bounded admission
+//! shared `engine` module (blocking acceptor, bounded admission
 //! queue, fixed worker pool over `std::net`).
 //!
 //! A daemon booted with `--shard-id N --peers a,b,c` is one shard behind a

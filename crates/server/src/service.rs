@@ -1,27 +1,22 @@
 //! The repair service proper: parses a `POST /repair` body, admits or
-//! rejects it, runs the requested technique under a deadline, and shapes
-//! the JSON response.
+//! rejects it, runs the requested technique under a deadline through the
+//! study's dispatch ([`run_cell`]), and shapes the JSON response.
 //!
 //! This module is transport-agnostic — it maps body text to
 //! [`crate::http::Response`] values and leaves sockets, queues and threads
 //! to [`crate::server`]. That split keeps the whole admission/deadline
 //! policy unit-testable without opening a port.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use std::sync::Arc;
-
 use serde::{Serialize, Value};
-use specrepair_core::{
-    CancelToken, OracleHandle, RepairBudget, RepairContext, RepairOutcome, RepairTechnique,
-};
-use specrepair_llm::{
-    FaultyLm, MultiRound, ResilientLm, RetryPolicy, SingleRound, SyntheticLm, TransportStats,
-};
+use specrepair_core::{CancelToken, OracleHandle, RepairBudget, RepairContext};
+use specrepair_llm::TransportStats;
 use specrepair_metrics::{candidate_metrics, CandidateMetrics};
-use specrepair_portfolio::{Entrant, EntrantReport, Portfolio};
-use specrepair_study::{RosterId, StudyConfig, TechniqueId};
-use specrepair_traditional::{ARepair, Atr, BeAFix, Icebar};
+use specrepair_portfolio::EntrantReport;
+use specrepair_study::runner::run_cell;
+use specrepair_study::{StudyConfig, TechniqueId};
 
 use crate::http::Response;
 
@@ -363,28 +358,14 @@ impl RepairService {
             .with_oracle(self.oracle.clone())
             .with_cancel(cancel.clone());
 
-        // The request's deterministic span-id space: seeded from the cell
-        // identity (spec text × technique × seed), so a replayed request
-        // produces the same trace_id and span ids every time.
-        let trace_seed = study.cell_seed_for(&request.spec, id.label());
-        let trace_id = format!("{:016x}", specrepair_trace::root_span_id(trace_seed));
-
+        // The request is a cell keyed by its spec text: a replayed request
+        // gets the same fault plans, span ids and trace_id. It carries no
+        // benchmark fault metadata, so Single-Round prompts without hints
+        // (the paper's `None` ablation for the hinted settings).
         let started = Instant::now();
-        let (outcome, reports) = {
-            let _trace_scope = specrepair_trace::cell_scope(trace_seed, 0, None);
-            let cell_span = specrepair_trace::span("cell", specrepair_trace::Phase::Orchestration);
-            if cell_span.is_active() {
-                cell_span.attr_str("technique", id.label());
-                cell_span.attr_str("problem", &trace_id);
-            }
-            match id {
-                TechniqueId::Portfolio(roster) => {
-                    let (outcome, reports) = run_portfolio(roster, &study, &ctx, &self.transport);
-                    (outcome, Some(reports))
-                }
-                _ => (run_technique(id, &study, &ctx, &self.transport), None),
-            }
-        };
+        let run = run_cell(&ctx, id, &study, &request.spec, None, &self.transport);
+        let trace_id = format!("{:016x}", run.root_id());
+        let (outcome, reports) = run.into_parts();
         let latency = started.elapsed();
         let timed_out = cancel.is_cancelled();
 
@@ -452,78 +433,6 @@ impl RepairService {
         )]))
         .expect("techniques document always serializes")
     }
-}
-
-/// Dispatches one technique by id. Single-Round runs without problem hints:
-/// a service request carries no benchmark fault metadata, which matches the
-/// paper's `None` prompt ablation for the hinted settings.
-///
-/// The LLM techniques run behind a [`ResilientLm`]; when the effective
-/// fault rate is nonzero the stack additionally injects deterministic
-/// transport faults (keyed by the request's spec text and technique, so a
-/// replayed request sees the same schedule). Either way the stack's
-/// counters aggregate into the daemon-wide `stats`.
-fn run_technique(
-    id: TechniqueId,
-    study: &StudyConfig,
-    ctx: &RepairContext,
-    stats: &Arc<TransportStats>,
-) -> RepairOutcome {
-    let lm = || {
-        let base = if study.chaos_enabled() {
-            let plan = study.fault_plan_for(&ctx.source, id.label());
-            let retries = plan.max_consecutive_faults(4096).max(4);
-            ResilientLm::over(
-                FaultyLm::new(SyntheticLm::default(), plan).with_stats(stats.faults.clone()),
-            )
-            .with_policy(RetryPolicy::snappy().with_max_retries(retries))
-        } else {
-            ResilientLm::synthetic()
-        };
-        base.with_stats(Arc::clone(stats))
-    };
-    match id {
-        TechniqueId::ARepair => ARepair::default().repair(ctx),
-        TechniqueId::Icebar => Icebar::default().repair(ctx),
-        TechniqueId::BeAFix => BeAFix::default().repair(ctx),
-        TechniqueId::Atr => Atr::default().repair(ctx),
-        TechniqueId::Single(setting) => SingleRound::new(setting, study.seed)
-            .with_lm(lm())
-            .repair(ctx),
-        TechniqueId::Multi(feedback) => MultiRound::new(feedback, study.seed)
-            .with_lm(lm())
-            .repair(ctx),
-        TechniqueId::Portfolio(_) => unreachable!("portfolios dispatch through run_portfolio"),
-    }
-}
-
-/// Races one roster for a service request: every member becomes an entrant
-/// running this service's own technique dispatch (so each gets the daemon's
-/// resilient LM stack, and a chaos-afflicted entrant retries or loses the
-/// race instead of stalling it). The request's deadline token is the race's
-/// parent: when it fires, every entrant's child token fires with it.
-fn run_portfolio(
-    roster: RosterId,
-    study: &StudyConfig,
-    ctx: &RepairContext,
-    stats: &Arc<TransportStats>,
-) -> (RepairOutcome, Vec<EntrantReport>) {
-    let entrants: Vec<Entrant> = roster
-        .members()
-        .into_iter()
-        .map(|member| {
-            let stats = Arc::clone(stats);
-            Entrant::new(
-                member.label(),
-                study.budget_for(member),
-                move |entrant_ctx: &RepairContext| {
-                    run_technique(member, study, entrant_ctx, &stats)
-                },
-            )
-        })
-        .collect();
-    let raced = Portfolio::new(roster.label()).race(ctx, entrants);
-    (raced.outcome, raced.entrants)
 }
 
 #[cfg(test)]

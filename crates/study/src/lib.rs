@@ -12,8 +12,9 @@
 //! | [`ablation`] | §VI — localization-guided hybrid ablation |
 //!
 //! The [`runner`] evaluates all twelve techniques over the generated
-//! corpora once; every artifact derives from that single result set. The
-//! `study` binary drives it from the command line:
+//! corpora once; every artifact derives from that single result set. Its
+//! [`runner::run_cell`] is the technique dispatch the `specrepaird` daemon
+//! calls too. The `study` binary drives it from the command line:
 //!
 //! ```text
 //! study all --scale 0.125 --seed 42 --out results/

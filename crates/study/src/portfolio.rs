@@ -9,68 +9,39 @@
 
 use serde::Serialize;
 use specrepair_benchmarks::RepairProblem;
-use specrepair_core::{CancelToken, DedupStats, OracleHandle, RepairContext};
-use specrepair_portfolio::{Entrant, Portfolio, PortfolioOutcome};
+use specrepair_core::{DedupStats, OracleHandle};
+use specrepair_llm::TransportStats;
+use specrepair_portfolio::{Portfolio, PortfolioOutcome};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::config::{RosterId, StudyConfig, TechniqueId};
-use crate::runner::{evaluate_cell, record_from, run_solo, SpecRecord};
+use crate::runner::{cell_context, evaluate_cell, race_roster, record_from, CellRoot, SpecRecord};
 
-/// Builds the rank-ordered entrants of one roster on one problem. Each
-/// entrant is the member's exact solo cell — same calibrated budget, same
-/// chaos fault plan (keyed by problem and member label, not by schedule) —
-/// run against the per-entrant context the scheduler prepares (child cancel
-/// token, shared oracle).
-pub fn entrants_for<'a>(
-    roster: RosterId,
-    problem: &'a RepairProblem,
-    config: &'a StudyConfig,
-) -> Vec<Entrant<'a>> {
-    roster
-        .members()
-        .into_iter()
-        .map(|member| {
-            Entrant::new(
-                member.label(),
-                config.budget_for(member),
-                move |ctx: &RepairContext| run_solo(member, problem, config, ctx),
-            )
-        })
-        .collect()
-}
-
-/// Races one roster on one problem, sharing `oracle` across all entrants.
-/// `workers: None` sizes the pool to the machine; `Some(1)` degenerates to
-/// the sequential fallback chain.
+/// Races one roster on one problem on `workers` threads, sharing `oracle`
+/// across all entrants; one worker degenerates to the sequential fallback
+/// chain. The race is a cell of its own: the entrants' spans hang off its
+/// root at ordinals `rank + 1`, so one-worker and N-worker traces of the
+/// same cell carry identical span ids.
 pub fn race(
     oracle: &OracleHandle,
     roster: RosterId,
     problem: &RepairProblem,
     config: &StudyConfig,
-    workers: Option<usize>,
+    workers: usize,
 ) -> PortfolioOutcome {
-    let ctx = RepairContext::new(
-        problem.faulty.clone(),
-        config.budget_for(TechniqueId::Portfolio(roster)),
+    let ctx = cell_context(oracle, TechniqueId::Portfolio(roster), problem, config);
+    let stats = Arc::new(TransportStats::new());
+    let _root = CellRoot::open(config, &problem.id, roster.label(), Some(problem));
+    race_roster(
+        Portfolio::new(roster.label()).with_workers(workers),
+        &ctx,
+        roster,
+        config,
+        &problem.id,
+        Some(problem),
+        &stats,
     )
-    .with_source(&problem.faulty_source)
-    .with_oracle(oracle.clone())
-    .with_cancel(CancelToken::none());
-    let mut portfolio = Portfolio::new(roster.label());
-    if let Some(w) = workers {
-        portfolio = portfolio.with_workers(w);
-    }
-    // Same deterministic span-id space as a solo cell: the race's entrant
-    // spans hang off this root at ordinals `rank + 1`, so one-worker and
-    // N-worker traces of the same cell carry identical span ids.
-    let _trace_scope =
-        specrepair_trace::cell_scope(config.cell_seed_for(&problem.id, roster.label()), 0, None);
-    let cell_span = specrepair_trace::span("cell", specrepair_trace::Phase::Orchestration);
-    if cell_span.is_active() {
-        cell_span.attr_str("technique", roster.label());
-        cell_span.attr_str("problem", &problem.id);
-    }
-    portfolio.race(&ctx, entrants_for(roster, problem, config))
 }
 
 /// One roster member's standing across the portfolio study.
@@ -177,7 +148,7 @@ pub fn run_portfolio_study(
         // Sequential baseline: one worker = rank-ordered fallback chain.
         let seq_oracle = OracleHandle::fresh();
         let t = Instant::now();
-        let seq = race(&seq_oracle, roster, problem, config, Some(1));
+        let seq = race(&seq_oracle, roster, problem, config, 1);
         sequential_wall_ms += t.elapsed().as_millis() as u64;
         sequential_records.push(record_from(
             seq_oracle.service(),
@@ -189,7 +160,7 @@ pub fn run_portfolio_study(
         // The racing portfolio.
         let race_oracle = OracleHandle::fresh();
         let t = Instant::now();
-        let raced = race(&race_oracle, roster, problem, config, Some(workers));
+        let raced = race(&race_oracle, roster, problem, config, workers);
         racing_wall_ms += t.elapsed().as_millis() as u64;
         dedup.absorb(&race_oracle.dedup_stats());
         if let Some(w) = raced.winner {
@@ -305,15 +276,27 @@ mod tests {
     }
 
     #[test]
-    fn repair_with_oracle_dispatches_portfolio_ids() {
+    fn run_cell_dispatches_portfolio_ids() {
         let (problems, config) = tiny();
-        let out = crate::runner::repair_with_oracle(
-            &OracleHandle::fresh(),
-            TechniqueId::Portfolio(RosterId::Traditional),
-            &problems[0],
+        let id = TechniqueId::Portfolio(RosterId::Traditional);
+        let ctx = cell_context(&OracleHandle::fresh(), id, &problems[0], &config);
+        let stats = Arc::new(TransportStats::new());
+        let run = crate::runner::run_cell(
+            &ctx,
+            id,
             &config,
+            &problems[0].id,
+            Some(&problems[0]),
+            &stats,
         );
-        assert_eq!(out.technique, "Portfolio_Traditional");
+        assert_eq!(run.outcome.technique, "Portfolio_Traditional");
+        let labels: Vec<String> = run
+            .entrants
+            .iter()
+            .flatten()
+            .map(|e| e.label.clone())
+            .collect();
+        assert_eq!(labels, ["ARepair", "ICEBAR", "BeAFix", "ATR"]);
     }
 
     #[test]

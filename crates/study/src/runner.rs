@@ -1,5 +1,11 @@
 //! The study runner: every technique over every benchmark problem, with
 //! per-candidate metrics. All tables and figures derive from one run.
+//!
+//! It also holds the technique dispatch, [`run_cell`]: the one place a
+//! [`TechniqueId`] becomes a running technique — its struct, its LM
+//! transport stack and fault plan, a roster's entrants, and the cell's
+//! trace root. The study's cells and `specrepaird`'s `POST /repair` both
+//! run through it.
 
 use mualloy_analyzer::{IncrementalStats, Oracle, OracleCacheStats};
 use parking_lot::Mutex;
@@ -10,14 +16,18 @@ use specrepair_core::{
     CancelToken, DedupStats, OracleHandle, OutcomeReason, RepairContext, RepairOutcome,
     RepairTechnique, VerdictStore,
 };
-use specrepair_llm::{invert_fix_description, MultiRound, ProblemHints, ResilientLm, SingleRound};
+use specrepair_llm::{
+    invert_fix_description, MultiRound, ProblemHints, ResilientLm, SingleRound, TransportStats,
+};
 use specrepair_metrics::candidate_metrics;
+use specrepair_portfolio::{Entrant, EntrantReport, Portfolio, PortfolioOutcome};
+use specrepair_trace::{CellScope, Phase, SpanGuard};
 use specrepair_traditional::{ARepair, Atr, BeAFix, Icebar};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, OnceLock};
 
-use crate::config::{StudyConfig, TechniqueId};
+use crate::config::{RosterId, StudyConfig, TechniqueId};
 use crate::journal::StudyJournal;
 
 /// One (problem, technique) evaluation record.
@@ -222,54 +232,175 @@ pub fn hints_for_with(oracle: &Oracle, problem: &RepairProblem) -> ProblemHints 
     }
 }
 
-/// Runs one technique on one problem with a fresh oracle.
-pub fn repair_with(
-    id: TechniqueId,
-    problem: &RepairProblem,
-    config: &StudyConfig,
-) -> RepairOutcome {
-    repair_with_oracle(&OracleHandle::fresh(), id, problem, config)
-}
-
-/// Runs one technique on one problem against a shared oracle. Portfolio
-/// ids race their roster on a machine-sized worker pool (see
-/// [`crate::portfolio`] for explicit worker control).
-pub fn repair_with_oracle(
+/// The context a study cell repairs in: the problem's faulty spec under
+/// the technique's calibrated budget, against `oracle`, with no deadline.
+pub fn cell_context(
     oracle: &OracleHandle,
     id: TechniqueId,
     problem: &RepairProblem,
     config: &StudyConfig,
-) -> RepairOutcome {
-    if let TechniqueId::Portfolio(roster) = id {
-        return crate::portfolio::race(oracle, roster, problem, config, None).outcome;
-    }
-    let ctx = RepairContext::new(problem.faulty.clone(), config.budget_for(id))
+) -> RepairContext {
+    RepairContext::new(problem.faulty.clone(), config.budget_for(id))
         .with_source(&problem.faulty_source)
         .with_oracle(oracle.clone())
-        .with_cancel(CancelToken::none());
-    run_solo(id, problem, config, &ctx)
+        .with_cancel(CancelToken::none())
 }
 
-/// Dispatches one *non-portfolio* technique against a prepared context —
-/// the shared core of the solo study cells and of every portfolio entrant
-/// (which arrives here with its own budget, child cancel token and the
-/// race's shared oracle).
+/// One cell's run, as [`run_cell`] returns it. The cell's trace root stays
+/// open until this value drops, so work done with the outcome before then
+/// (the study scores REP) is part of the cell.
+#[must_use = "dropping the run closes the cell's trace root"]
+pub struct CellRun {
+    /// The technique's outcome, or a roster's merged outcome.
+    pub outcome: RepairOutcome,
+    /// A roster's entrant reports in rank order; `None` for a solo
+    /// technique.
+    pub entrants: Option<Vec<EntrantReport>>,
+    root: CellRoot,
+}
+
+impl CellRun {
+    /// The id of the cell's root span, known whether or not a collector
+    /// is on.
+    pub fn root_id(&self) -> u64 {
+        self.root.id
+    }
+
+    /// The outcome and the entrant reports, closing the cell's trace root.
+    pub fn into_parts(self) -> (RepairOutcome, Option<Vec<EntrantReport>>) {
+        (self.outcome, self.entrants)
+    }
+}
+
+/// The root of a cell's trace: a deterministic span-id space seeded from
+/// the cell's key and technique, and one `cell` span covering the attempt.
+/// Span-tree bookkeeping is inert (one relaxed atomic load) unless a
+/// collector was enabled via `specrepair_trace::set_enabled`.
+pub(crate) struct CellRoot {
+    id: u64,
+    // Fields drop in order: the span closes inside its scope.
+    _span: SpanGuard,
+    _scope: CellScope,
+}
+
+impl CellRoot {
+    /// Opens the root of the cell `(key, label)`. Its `problem` attribute
+    /// is the benchmark problem's id, or the root span id without one.
+    pub(crate) fn open(
+        config: &StudyConfig,
+        key: &str,
+        label: &str,
+        problem: Option<&RepairProblem>,
+    ) -> CellRoot {
+        let seed = config.cell_seed_for(key, label);
+        let id = specrepair_trace::root_span_id(seed);
+        let scope = specrepair_trace::cell_scope(seed, 0, None);
+        let span = specrepair_trace::span("cell", Phase::Orchestration);
+        if span.is_active() {
+            span.attr_str("technique", label);
+            match problem {
+                Some(p) => span.attr_str("problem", &p.id),
+                None => span.attr_str("problem", &format!("{id:016x}")),
+            }
+        }
+        CellRoot {
+            id,
+            _span: span,
+            _scope: scope,
+        }
+    }
+}
+
+/// Runs one cell: technique `id` against `ctx`. This is the one place a
+/// [`TechniqueId`] becomes a running technique, for the study and for
+/// `specrepaird` alike. It opens the cell's trace root, then runs a solo
+/// technique or races a roster, each entrant exactly as its solo cell
+/// would run.
 ///
-/// Each LLM cell gets its own transport stack: with fault injection on,
-/// the cell's fault schedule is a pure function of (fault_seed, cell
-/// identity), independent of scheduling — a portfolio entrant sees exactly
-/// the faults its solo row would.
-pub(crate) fn run_solo(
-    id: TechniqueId,
-    problem: &RepairProblem,
-    config: &StudyConfig,
+/// `key` names the cell within the run: the problem id in the study, the
+/// request's spec text in the daemon. With the technique's label it seeds
+/// the cell's span ids and each LM technique's fault plan, so a cell sees
+/// the same faults wherever and whenever it runs. `problem` supplies
+/// Single-Round's hints (the benchmark's fault locations, fixes and
+/// failing check); a cell without one prompts with no hints. Every LM
+/// stack the cell builds counts its retries and injected faults in
+/// `stats`.
+pub fn run_cell(
     ctx: &RepairContext,
+    id: TechniqueId,
+    config: &StudyConfig,
+    key: &str,
+    problem: Option<&RepairProblem>,
+    stats: &Arc<TransportStats>,
+) -> CellRun {
+    let root = CellRoot::open(config, key, id.label(), problem);
+    let (outcome, entrants) = match id {
+        TechniqueId::Portfolio(roster) => {
+            let raced = race_roster(
+                Portfolio::new(roster.label()),
+                ctx,
+                roster,
+                config,
+                key,
+                problem,
+                stats,
+            );
+            (raced.outcome, Some(raced.entrants))
+        }
+        _ => (run_solo(ctx, id, config, key, problem, stats), None),
+    };
+    CellRun {
+        outcome,
+        entrants,
+        root,
+    }
+}
+
+/// Races a roster on `portfolio`'s worker pool. Each member becomes an
+/// entrant running its solo cell — same calibrated budget, same fault plan
+/// — against the per-entrant context the scheduler prepares (child cancel
+/// token, shared oracle), so a fault-afflicted entrant retries or loses
+/// the race instead of stalling it.
+pub(crate) fn race_roster(
+    portfolio: Portfolio,
+    ctx: &RepairContext,
+    roster: RosterId,
+    config: &StudyConfig,
+    key: &str,
+    problem: Option<&RepairProblem>,
+    stats: &Arc<TransportStats>,
+) -> PortfolioOutcome {
+    let entrants = roster
+        .members()
+        .into_iter()
+        .map(|member| {
+            Entrant::new(
+                member.label(),
+                config.budget_for(member),
+                move |ctx: &RepairContext| run_solo(ctx, member, config, key, problem, stats),
+            )
+        })
+        .collect();
+    portfolio.race(ctx, entrants)
+}
+
+/// Runs one non-portfolio technique against a prepared context. Each LM
+/// technique gets its own transport stack, injecting faults from the
+/// cell's plan when the run has a fault rate.
+fn run_solo(
+    ctx: &RepairContext,
+    id: TechniqueId,
+    config: &StudyConfig,
+    key: &str,
+    problem: Option<&RepairProblem>,
+    stats: &Arc<TransportStats>,
 ) -> RepairOutcome {
     let lm = |label: &str| {
+        let stats = Arc::clone(stats);
         if config.chaos_enabled() {
-            specrepair_llm::chaos_stack(config.fault_plan_for(&problem.id, label))
+            specrepair_llm::chaos_stack(config.fault_plan_for(key, label), stats)
         } else {
-            ResilientLm::synthetic()
+            ResilientLm::synthetic().with_stats(stats)
         }
     };
     match id {
@@ -277,32 +408,20 @@ pub(crate) fn run_solo(
         TechniqueId::Icebar => Icebar::default().repair(ctx),
         TechniqueId::BeAFix => BeAFix::default().repair(ctx),
         TechniqueId::Atr => Atr::default().repair(ctx),
-        TechniqueId::Single(setting) => SingleRound::new(setting, config.seed)
-            .with_hints(hints_for_with(ctx.oracle.service(), problem))
-            .with_lm(lm(setting.label()))
-            .repair(ctx),
+        TechniqueId::Single(setting) => {
+            let hints = problem
+                .map(|p| hints_for_with(ctx.oracle.service(), p))
+                .unwrap_or_default();
+            SingleRound::new(setting, config.seed)
+                .with_hints(hints)
+                .with_lm(lm(setting.label()))
+                .repair(ctx)
+        }
         TechniqueId::Multi(feedback) => MultiRound::new(feedback, config.seed)
             .with_lm(lm(feedback.label()))
             .repair(ctx),
-        TechniqueId::Portfolio(_) => unreachable!("portfolios are raced, not run solo"),
+        TechniqueId::Portfolio(_) => unreachable!("rosters are raced, not run solo"),
     }
-}
-
-/// Evaluates one (problem, technique) pair into a record with a fresh
-/// oracle.
-pub fn evaluate(id: TechniqueId, problem: &RepairProblem, config: &StudyConfig) -> SpecRecord {
-    evaluate_with(&OracleHandle::fresh(), id, problem, config)
-}
-
-/// Evaluates one (problem, technique) pair against a shared oracle.
-pub fn evaluate_with(
-    oracle: &OracleHandle,
-    id: TechniqueId,
-    problem: &RepairProblem,
-    config: &StudyConfig,
-) -> SpecRecord {
-    let outcome = repair_with_oracle(oracle, id, problem, config);
-    record_from(oracle.service(), problem, id.label(), &outcome)
 }
 
 /// Assembles a [`SpecRecord`] from one finished outcome — shared by the
@@ -345,29 +464,24 @@ pub fn record_from(
     }
 }
 
-/// [`evaluate_with`], with panics contained: a technique that panics is
-/// recorded as a [`OutcomeReason::Crashed`] cell instead of tearing down
-/// the whole study run. The rest of the corpus still completes and the
-/// crash stays visible in the artifacts.
+/// Evaluates one (problem, technique) cell into a record against a shared
+/// oracle, with panics contained: a technique that panics is recorded as
+/// a [`OutcomeReason::Crashed`] cell instead of tearing down the whole
+/// study run. The rest of the corpus still completes and the crash stays
+/// visible in the artifacts.
 pub fn evaluate_cell(
     oracle: &OracleHandle,
     id: TechniqueId,
     problem: &RepairProblem,
     config: &StudyConfig,
 ) -> SpecRecord {
-    // Root of the cell's trace: a deterministic span-id space seeded from
-    // the cell identity, plus one "cell" span covering the whole attempt.
-    // All span-tree bookkeeping is inert (one relaxed atomic load) unless a
-    // collector was enabled via `specrepair_trace::set_enabled`.
-    let _trace_scope =
-        specrepair_trace::cell_scope(config.cell_seed_for(&problem.id, id.label()), 0, None);
-    let cell_span = specrepair_trace::span("cell", specrepair_trace::Phase::Orchestration);
-    if cell_span.is_active() {
-        cell_span.attr_str("technique", id.label());
-        cell_span.attr_str("problem", &problem.id);
-    }
     std::panic::catch_unwind(AssertUnwindSafe(|| {
-        evaluate_with(oracle, id, problem, config)
+        let ctx = cell_context(oracle, id, problem, config);
+        // The cell's own transport counters: nothing reads them, and no
+        // two cells share an atomic.
+        let stats = Arc::new(TransportStats::new());
+        let run = run_cell(&ctx, id, config, &problem.id, Some(problem), &stats);
+        record_from(oracle.service(), problem, id.label(), &run.outcome)
     }))
     .unwrap_or_else(|_| SpecRecord {
         problem: problem.id.clone(),

@@ -12,7 +12,9 @@
 //!
 //! All four implement [`specrepair_core::RepairTechnique`] and validate
 //! candidates against the *specification's own* commands — never against
-//! the ground truth, which only the metrics layer sees.
+//! the ground truth, which only the metrics layer sees. The study and
+//! `specrepaird` construct them with their default configurations in one
+//! place, `specrepair_study::runner::run_cell`.
 //!
 //! # Example
 //!
@@ -44,28 +46,24 @@ pub use atr::Atr;
 pub use beafix::BeAFix;
 pub use icebar::Icebar;
 
-/// Constructs the study's four traditional techniques with their default
-/// configurations, boxed for uniform handling.
-pub fn default_suite() -> Vec<Box<dyn specrepair_core::RepairTechnique>> {
-    vec![
-        Box::new(ARepair::default()),
-        Box::new(Icebar::default()),
-        Box::new(BeAFix::default()),
-        Box::new(Atr::default()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specrepair_core::{RepairBudget, RepairContext};
+    use specrepair_core::{RepairBudget, RepairContext, RepairTechnique};
+
+    fn tools() -> [Box<dyn RepairTechnique>; 4] {
+        [
+            Box::new(ARepair::default()),
+            Box::new(Icebar::default()),
+            Box::new(BeAFix::default()),
+            Box::new(Atr::default()),
+        ]
+    }
 
     #[test]
     fn suite_contains_the_four_tools() {
-        let names: Vec<String> = default_suite()
-            .iter()
-            .map(|t| t.name().to_string())
-            .collect();
+        let tools = tools();
+        let names: Vec<&str> = tools.iter().map(|t| t.name()).collect();
         assert_eq!(names, vec!["ARepair", "ICEBAR", "BeAFix", "ATR"]);
     }
 
@@ -73,7 +71,7 @@ mod tests {
     fn every_tool_handles_a_trivial_fault() {
         let faulty = "sig N {} fact Dead { no N } pred p { some N } run p for 3 expect 1";
         let ctx = RepairContext::from_source(faulty, RepairBudget::default()).unwrap();
-        for tool in default_suite() {
+        for tool in tools() {
             let out = tool.repair(&ctx);
             assert_eq!(out.technique, tool.name());
             // The oracle-driven tools find this single-mutation fault;

@@ -2,18 +2,21 @@
 //! on) real benchmark problems, end to end through parser, analyzer,
 //! mutation, repair and metrics.
 
+use std::sync::Arc;
+
 use mualloy_analyzer::{Analyzer, Oracle};
-use specrepair_benchmarks::arepair;
+use specrepair_benchmarks::{arepair, RepairProblem};
 use specrepair_core::{
     preserves_oracle_surface, CancelToken, OracleHandle, RepairBudget, RepairContext,
-    RepairTechnique, UnionHybrid,
+    RepairOutcome, RepairTechnique, UnionHybrid,
 };
-use specrepair_llm::{FeedbackSetting, MultiRound, PromptSetting, SingleRound};
+use specrepair_llm::{FeedbackSetting, MultiRound, PromptSetting, SingleRound, TransportStats};
 use specrepair_metrics::{candidate_metrics, rep};
-use specrepair_study::runner::hints_for;
-use specrepair_traditional::{default_suite, Atr};
+use specrepair_study::runner::{hints_for, run_cell};
+use specrepair_study::{StudyConfig, TechniqueId};
+use specrepair_traditional::Atr;
 
-fn problems() -> Vec<specrepair_benchmarks::RepairProblem> {
+fn problems() -> Vec<RepairProblem> {
     arepair(0.3)
 }
 
@@ -24,22 +27,29 @@ fn budget() -> RepairBudget {
     }
 }
 
-fn ctx_for(p: &specrepair_benchmarks::RepairProblem) -> RepairContext {
+fn ctx_for(p: &RepairProblem) -> RepairContext {
     RepairContext::new(p.faulty.clone(), budget())
         .with_source(&p.faulty_source)
         .with_oracle(OracleHandle::fresh())
         .with_cancel(CancelToken::none())
 }
 
+/// Runs `id` on `p` through the study's dispatch under [`budget`].
+fn run(id: TechniqueId, p: &RepairProblem, config: &StudyConfig) -> RepairOutcome {
+    let stats = Arc::new(TransportStats::new());
+    run_cell(&ctx_for(p), id, config, &p.id, Some(p), &stats).outcome
+}
+
 #[test]
 fn traditional_tools_produce_verifiable_repairs() {
     let problems = problems();
     assert!(!problems.is_empty());
+    let config = StudyConfig::default();
     let mut any_repaired = false;
-    for tool in default_suite() {
+    for id in TechniqueId::traditional() {
         for p in &problems {
-            let out = tool.repair(&ctx_for(p));
-            if out.success && tool.name() != "ARepair" {
+            let out = run(id, p, &config);
+            if out.success && id != TechniqueId::ARepair {
                 // Oracle-validated success must hold up under re-analysis.
                 let c = out
                     .candidate
@@ -48,7 +58,7 @@ fn traditional_tools_produce_verifiable_repairs() {
                 assert!(
                     Analyzer::new(c.clone()).satisfies_oracle().unwrap(),
                     "{} claimed success on {} but candidate fails oracle",
-                    tool.name(),
+                    id.label(),
                     p.id
                 );
                 any_repaired = true;
@@ -144,11 +154,12 @@ fn hybrid_union_dominates_both_constituents() {
 fn metrics_are_consistent_for_all_techniques() {
     let problems = problems();
     let p = &problems[0];
-    let hints = hints_for(p);
-    let mut techniques: Vec<Box<dyn RepairTechnique>> = default_suite();
-    techniques.extend(specrepair_llm::default_suite(hints, 1));
-    for t in techniques {
-        let out = t.repair(&ctx_for(p));
+    let config = StudyConfig {
+        seed: 1,
+        ..StudyConfig::default()
+    };
+    for id in TechniqueId::all() {
+        let out = run(id, p, &config);
         let m = candidate_metrics(
             &Oracle::new(),
             &p.truth,
@@ -156,10 +167,10 @@ fn metrics_are_consistent_for_all_techniques() {
             out.candidate_source.as_deref(),
         );
         if let Some(tm) = m.tm {
-            assert!((0.0..=1.0).contains(&tm), "{}: TM {}", t.name(), tm);
+            assert!((0.0..=1.0).contains(&tm), "{}: TM {}", id.label(), tm);
         }
         if let Some(sm) = m.sm {
-            assert!((0.0..=1.0).contains(&sm), "{}: SM {}", t.name(), sm);
+            assert!((0.0..=1.0).contains(&sm), "{}: SM {}", id.label(), sm);
         }
         if m.rep == 1 {
             assert!(out.candidate_source.is_some());

@@ -52,7 +52,7 @@ fn record_at(
     workers: usize,
 ) -> String {
     let oracle = OracleHandle::fresh();
-    let raced = portfolio::race(&oracle, roster, problem, config, Some(workers));
+    let raced = portfolio::race(&oracle, roster, problem, config, workers);
     let record = record_from(oracle.service(), problem, roster.label(), &raced.outcome);
     serde_json::to_string(&record).unwrap()
 }
@@ -131,7 +131,7 @@ fn portfolio_equals_the_union_hybrid_of_its_roster() {
     let roster = RosterId::ArepairSrLoc;
     for problem in problems() {
         let oracle = OracleHandle::fresh();
-        let raced = portfolio::race(&oracle, roster, problem, &config, Some(4));
+        let raced = portfolio::race(&oracle, roster, problem, &config, 4);
         let portfolio_record =
             record_from(oracle.service(), problem, roster.label(), &raced.outcome);
 

@@ -6,13 +6,16 @@
 //! (`Oracle::new`), the cold memoizing path (`Oracle::cold`) and the
 //! reference arm (`Oracle::disabled`).
 
+use std::sync::Arc;
+
 use mualloy_analyzer::{compare, Oracle};
 use mualloy_syntax::ast::Spec;
 use mualloy_syntax::parse_spec;
 use specrepair_benchmarks::full_study;
 use specrepair_core::OracleHandle;
+use specrepair_llm::TransportStats;
 use specrepair_metrics::rep;
-use specrepair_study::runner::{record_from, repair_with_oracle};
+use specrepair_study::runner::{cell_context, record_from, run_cell};
 use specrepair_study::{StudyConfig, TechniqueId};
 
 /// The reference REP of `candidate_source` against `truth`.
@@ -60,7 +63,9 @@ fn study_candidates_score_like_the_reference() {
             let cold = Oracle::cold();
             let disabled = Oracle::disabled();
             for id in TechniqueId::all() {
-                let outcome = repair_with_oracle(&cells, id, p, &config);
+                let ctx = cell_context(&cells, id, p, &config);
+                let stats = Arc::new(TransportStats::new());
+                let outcome = run_cell(&ctx, id, &config, &p.id, Some(p), &stats).outcome;
                 let Some(src) = outcome.candidate_source.as_deref() else {
                     continue;
                 };

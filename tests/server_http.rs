@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use specrepair_server::server::{read_response, roundtrip, spawn};
 use specrepair_server::service::push_json_string;
-use specrepair_server::ServerConfig;
+use specrepair_server::{loadgen, LoadgenConfig, ServerConfig};
 
 const FAULTY: &str = "sig N { next: lone N } \
     fact { some n: N | n in n.next } \
@@ -189,6 +189,43 @@ fn portfolio_repair_over_http_reports_entrants_and_per_entrant_metrics() {
     assert!(
         metrics_body.contains(&format!("{portfolio}/ARepair")),
         "no per-entrant latency row:\n{metrics_body}"
+    );
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn chaotic_loadgen_is_absorbed_and_counted_daemon_wide() {
+    let (handle, addr) = boot(ServerConfig {
+        workers: 4,
+        queue_capacity: 64,
+        ..ServerConfig::default()
+    });
+    // loadgen opts every request into fault injection.
+    let report = loadgen::run(&LoadgenConfig {
+        addr: addr.clone(),
+        requests: 50,
+        connections: 4,
+        chaos_rate: 0.25,
+        shed_backoff_ms: 50,
+        ..LoadgenConfig::default()
+    });
+    assert!(report.clean(), "{}", report.render());
+
+    // Every request's LM stack counts into the daemon-wide transport stats.
+    let transport = |key: &str| metric(&addr, &["transport", key]);
+    assert!(
+        metric(&addr, &["transport", "injected_faults", "total"]) > 0.0,
+        "no faults injected"
+    );
+    assert!(transport("retries") > 0.0, "faults were never retried");
+    // A giveup is only legitimate when a deadline fired mid-attempt.
+    let forced = metric(&addr, &["deadline_exceeded_total"]) + transport("cancelled_backoffs");
+    assert!(
+        transport("giveups") <= forced,
+        "{} unforced giveups against {forced} deadline-forced",
+        transport("giveups")
     );
 
     handle.shutdown();

@@ -2,7 +2,8 @@
 //! artifacts whose per-phase attribution reconciles with the cells'
 //! wall-clock, whose root span ids are the deterministic function of the
 //! cell seed that `--resume` comparisons rely on, and whose incremental
-//! checks reconcile exactly with the run's statistics.
+//! checks reconcile exactly with the run's statistics. A roster cell opens
+//! one root, as every other cell does.
 //!
 //! This binary holds a single test: the span collector is process-global,
 //! so a second concurrently-running test would interleave spans.
@@ -10,7 +11,8 @@
 use std::collections::HashSet;
 
 use serde::Value;
-use specrepair_study::{runner, StudyConfig, TechniqueId};
+use specrepair_core::OracleHandle;
+use specrepair_study::{runner, RosterId, StudyConfig, TechniqueId};
 use specrepair_trace as trace;
 
 #[test]
@@ -139,4 +141,24 @@ fn traced_study_exports_parse_and_reconcile() {
     assert!(txt.contains("technique"));
     let json = trace::render_breakdown_json(&breakdown);
     serde_json::from_str::<Value>(&json).expect("breakdown JSON must parse");
+
+    // A roster cell has one root, like any other cell: the race and its
+    // entrants hang below the `cell` span the dispatch opened.
+    let roster = TechniqueId::Portfolio(RosterId::Traditional);
+    trace::set_enabled(true);
+    let record = runner::evaluate_cell(&OracleHandle::fresh(), roster, &problems[0], &config);
+    trace::set_enabled(false);
+    let spans = trace::take_spans();
+    assert_eq!(record.technique, roster.label());
+    let roots: Vec<u64> = spans
+        .iter()
+        .filter(|s| s.name == "cell")
+        .map(|s| s.id)
+        .collect();
+    let root = trace::root_span_id(config.cell_seed_for(&problems[0].id, roster.label()));
+    assert_eq!(roots, [root], "a roster cell opens exactly one root");
+    assert!(
+        spans.iter().any(|s| s.name == "portfolio.entrant"),
+        "no entrant spans under the roster cell"
+    );
 }

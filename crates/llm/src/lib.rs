@@ -54,7 +54,9 @@ pub mod transport;
 
 pub use model::{Guidance, LmConfig, SyntheticLm};
 pub use multi_round::MultiRound;
-pub use prompt::{invert_fix_description, FeedbackSetting, ProblemHints, Prompt, PromptSetting};
+pub use prompt::{
+    invert_fix_description, Feedback, FeedbackSetting, ProblemHints, Prompt, PromptSetting,
+};
 pub use resilient::{BreakerConfig, CircuitBreaker, ResilientLm, RetryPolicy, TransportStats};
 pub use single_round::SingleRound;
 pub use transport::{FaultyLm, LmTransport, LmTransportError};

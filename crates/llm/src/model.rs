@@ -373,7 +373,7 @@ pub(crate) fn style_noise(spec: &Spec, rng: &mut ChaCha8Rng) -> Spec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prompt::ProblemHints;
+    use crate::prompt::{Feedback, ProblemHints};
     use mualloy_analyzer::Analyzer;
     use rand::{RngCore, SeedableRng};
 
@@ -556,11 +556,11 @@ mod tests {
     /// No mutable site: assertion bodies are never mutated.
     const NO_SITES: &str = "sig A {} assert Empty { no A } check Empty for 2 expect 0";
 
-    fn prompt(source: &str, hints: ProblemHints, feedback: Option<&str>) -> Prompt {
+    fn prompt(source: &str, hints: ProblemHints, feedback: Option<Feedback>) -> Prompt {
         Prompt {
             source: source.to_string(),
             hints,
-            feedback: feedback.map(str::to_string),
+            feedback,
         }
     }
 
@@ -620,9 +620,9 @@ mod tests {
         ];
         let mut sequence = Vec::new();
         for hints in faulty_hints() {
-            for feedback in [None, Some("The specification is still faulty.")] {
+            for feedback in [None, Some(Feedback::StillFaulty)] {
                 for g in &guidance {
-                    sequence.push((prompt(FAULTY, hints.clone(), feedback), g.clone()));
+                    sequence.push((prompt(FAULTY, hints.clone(), feedback.clone()), g.clone()));
                 }
             }
         }

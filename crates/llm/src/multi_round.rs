@@ -12,8 +12,14 @@
 //! - **Auto-feedback** — the prompt agent (another model call) distills the
 //!   report into targeted guidance: sampling is *restricted* to the
 //!   top-ranked suspicious sites.
+//!
+//! The synthetic repair agent reads the prompt agent's work as structured
+//! [`Guidance`], site weights from the localizer. The prompt carries the
+//! last candidate as [`Feedback::Report`], and the analyzer report a hosted
+//! model would read is built from it only when [`Prompt::render`] renders
+//! the text. No prompt is prepared after the last round.
 
-use mualloy_analyzer::{AnalyzerReport, Oracle};
+use mualloy_analyzer::Oracle;
 use mualloy_syntax::Span;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -24,7 +30,7 @@ use specrepair_core::{
 use std::collections::HashSet;
 
 use crate::model::Guidance;
-use crate::prompt::{FeedbackSetting, ProblemHints, Prompt};
+use crate::prompt::{Feedback, FeedbackSetting, ProblemHints, Prompt};
 use crate::resilient::ResilientLm;
 use crate::transport::LmTransportError;
 
@@ -177,6 +183,9 @@ impl MultiRound {
                 }
                 last_parsed = Some((candidate, text));
             }
+            if round == rounds {
+                break; // no round follows to read a prepared prompt
+            }
             // Prepare the next round. When the transport stack has
             // degraded (breaker tripped), the prompt agent's extra model
             // work is no longer affordable: fall back to the no-feedback
@@ -196,13 +205,12 @@ impl MultiRound {
                 } else {
                     self.prompt_agent(ctx.oracle.service(), cand)
                 };
-                prompt.feedback = match self.feedback {
-                    _ if degraded => Some("The specification is still faulty.".to_string()),
-                    FeedbackSetting::None => Some("The specification is still faulty.".to_string()),
-                    FeedbackSetting::Generic | FeedbackSetting::Auto => Some(
-                        AnalyzerReport::for_source(&mualloy_syntax::print_spec(cand)).to_string(),
-                    ),
-                };
+                prompt.feedback = Some(match self.feedback {
+                    FeedbackSetting::Generic | FeedbackSetting::Auto if !degraded => {
+                        Feedback::Report(cand.clone())
+                    }
+                    _ => Feedback::StillFaulty,
+                });
             }
         }
         let failure_reason = if ctx.cancelled() {
@@ -250,7 +258,7 @@ impl HintedRepair for MultiRound {
 mod tests {
     use super::*;
     use mualloy_analyzer::Analyzer;
-    use specrepair_core::RepairBudget;
+    use specrepair_core::{OracleHandle, RepairBudget};
 
     const FAULTY: &str = "sig N { next: lone N }\n\
         fact Acyclic { some n: N | n in n.^next }\n\
@@ -346,21 +354,50 @@ mod tests {
         );
     }
 
-    #[test]
-    fn unfixable_reports_failure_with_candidate() {
-        let src = "sig A {} fact F { no A } \
-            assert Tautology { no none } \
-            check Tautology for 2 expect 1";
-        let ctx = RepairContext::from_source(
-            src,
+    /// No candidate can fix it: the check's expected counterexample does
+    /// not exist, and assertion bodies are never mutated.
+    const UNFIXABLE: &str = "sig A {} fact F { no A } \
+        assert Tautology { no none } \
+        check Tautology for 2 expect 1";
+
+    fn unfixable_ctx() -> RepairContext {
+        RepairContext::from_source(
+            UNFIXABLE,
             RepairBudget {
                 max_candidates: 10,
                 max_rounds: 2,
             },
         )
-        .unwrap();
-        let out = MultiRound::new(FeedbackSetting::Generic, 0).repair(&ctx);
+        .unwrap()
+    }
+
+    #[test]
+    fn unfixable_reports_failure_with_candidate() {
+        let out = MultiRound::new(FeedbackSetting::Generic, 0).repair(&unfixable_ctx());
         assert!(!out.success);
         assert!(out.candidate.is_some(), "best-effort candidate expected");
+    }
+
+    #[test]
+    fn replayed_feedback_cells_solve_nothing() {
+        // Replayed on the same oracle, every verdict and localization probe
+        // is a memo hit, and the analyzer report runs only when a prompt is
+        // rendered: the second run solves nothing.
+        for ctx in [ctx(), unfixable_ctx()] {
+            let oracle = OracleHandle::fresh();
+            for fb in [FeedbackSetting::Generic, FeedbackSetting::Auto] {
+                let run =
+                    || MultiRound::new(fb, 5).repair(&ctx.clone().with_oracle(oracle.clone()));
+                let first = run();
+                let (second, stats) = mualloy_sat::stats::collect(run);
+                assert_eq!(stats.solves, 0, "{} solved on replay", fb.label());
+                assert_eq!(
+                    format!("{first:?}"),
+                    format!("{second:?}"),
+                    "{}",
+                    fb.label()
+                );
+            }
+        }
     }
 }

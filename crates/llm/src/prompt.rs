@@ -8,9 +8,18 @@
 //! - **Multi-Round** (Alhanahnah et al.): a dual-agent loop whose prompts
 //!   carry analyzer feedback at one of three levels (*No-feedback*,
 //!   *Generic-feedback*, *Auto-feedback*).
+//!
+//! A [`Prompt`] is structured: the synthetic model reads its source and
+//! hints, and Multi-Round hands it the localizer's [`Guidance`] beside the
+//! prompt. The analyzer report a hosted model would read as feedback is
+//! built from the carried candidate only when [`Prompt::render`] renders
+//! the text, so the synthetic path never runs it.
+//!
+//! [`Guidance`]: crate::Guidance
 
+use mualloy_analyzer::AnalyzerReport;
 use mualloy_syntax::walk::NodeId;
-use mualloy_syntax::Span;
+use mualloy_syntax::{Span, Spec};
 use std::fmt;
 
 /// The five Single-Round prompt settings of the study.
@@ -154,7 +163,33 @@ impl ProblemHints {
     }
 }
 
-/// A rendered prompt: what the (synthetic) model conditions on.
+/// Analyzer feedback on the previous round's candidate.
+#[derive(Debug, Clone)]
+pub enum Feedback {
+    /// Only "not fixed yet": the *No-feedback* status line, also sent once
+    /// the transport stack has degraded.
+    StillFaulty,
+    /// The analyzer report on the last parsed candidate
+    /// (*Generic-feedback* and *Auto-feedback*), run when displayed.
+    Report(Spec),
+}
+
+impl fmt::Display for Feedback {
+    /// The feedback text: the status line, or the candidate printed,
+    /// re-parsed and run through every command on a cold analyzer, in the
+    /// [`AnalyzerReport`] template.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Feedback::StillFaulty => f.write_str("The specification is still faulty."),
+            Feedback::Report(candidate) => {
+                let source = mualloy_syntax::print_spec(candidate);
+                write!(f, "{}", AnalyzerReport::for_source(&source))
+            }
+        }
+    }
+}
+
+/// A prompt: what the (synthetic) model conditions on.
 #[derive(Debug, Clone, Default)]
 pub struct Prompt {
     /// The faulty specification's source text.
@@ -162,12 +197,13 @@ pub struct Prompt {
     /// Hints visible under the active setting.
     pub hints: ProblemHints,
     /// Analyzer feedback carried over from the previous round, if any.
-    pub feedback: Option<String>,
+    pub feedback: Option<Feedback>,
 }
 
 impl Prompt {
     /// Renders the prompt as the text a real LLM API would receive (used in
     /// reports and tests; the synthetic model consumes the structured form).
+    /// A [`Feedback::Report`] runs the analyzer here.
     pub fn render(&self) -> String {
         let mut out = String::from(
             "You are an expert in the Alloy specification language. \
@@ -207,7 +243,7 @@ impl Prompt {
         }
         if let Some(fb) = &self.feedback {
             out.push_str("\nAnalyzer feedback on your previous attempt:\n");
-            out.push_str(fb);
+            out.push_str(&fb.to_string());
         }
         out
     }
@@ -280,14 +316,39 @@ mod tests {
                 fix: vec!["replace `no` with `some`".into()],
                 pass: Some("Safe".into()),
             },
-            feedback: Some("[FAIL] check Safe".into()),
+            feedback: Some(Feedback::StillFaulty),
         };
         let text = p.render();
         assert!(text.contains("sig A {}"));
         assert!(text.contains("byte span"));
         assert!(text.contains("possible fix"));
         assert!(text.contains("`Safe`"));
-        assert!(text.contains("previous attempt"));
+        assert!(text.ends_with(
+            "\nAnalyzer feedback on your previous attempt:\nThe specification is still faulty."
+        ));
+    }
+
+    #[test]
+    fn report_feedback_renders_the_candidates_analyzer_report() {
+        // The fact forces a self-loop, so `check NoSelf` has a counterexample.
+        let candidate = mualloy_syntax::parse_spec(
+            "sig N { next: lone N } fact { some n: N | n in n.next } \
+             assert NoSelf { all n: N | n not in n.next } \
+             check NoSelf for 3 expect 0",
+        )
+        .unwrap();
+        let report =
+            AnalyzerReport::for_source(&mualloy_syntax::print_spec(&candidate)).to_string();
+        assert!(report.contains("a counterexample was found"), "{report}");
+        let p = Prompt {
+            source: "sig A {}".into(),
+            feedback: Some(Feedback::Report(candidate)),
+            ..Prompt::default()
+        };
+        let text = p.render();
+        let header = "\nAnalyzer feedback on your previous attempt:\n";
+        let at = text.find(header).expect("a feedback header");
+        assert_eq!(&text[at + header.len()..], report);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! [`LmTransport`] makes that failure surface explicit —
 //! `Result<Option<String>, LmTransportError>` separates *the model declined
 //! to propose* (`Ok(None)`) from *the transport failed* (`Err`) — and
-//! [`FaultyLm`] injects exactly reproducible failures from a
-//! [`FaultPlan`](specrepair_faults::FaultPlan) schedule so the study can
-//! measure resilience without any nondeterminism.
+//! [`FaultyLm`] injects exactly reproducible failures from a [`FaultPlan`]
+//! schedule so the study can measure resilience without any
+//! nondeterminism.
 //!
 //! # Determinism contract
 //!

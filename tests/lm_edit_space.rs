@@ -8,19 +8,19 @@ use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use specrepair_benchmarks::{full_study, RepairProblem};
 use specrepair_core::localization::constraint_sites;
-use specrepair_llm::{Guidance, ProblemHints, Prompt, PromptSetting, SyntheticLm};
+use specrepair_llm::{Feedback, Guidance, ProblemHints, Prompt, PromptSetting, SyntheticLm};
 use specrepair_study::runner::hints_for;
 
 /// No mutable site: assertion bodies are never mutated.
 const NO_SITES: &str = "sig A {} assert Empty { no A } check Empty for 2 expect 0";
 
-const FEEDBACK: &str = "The specification is still faulty.";
+const FEEDBACK: Feedback = Feedback::StillFaulty;
 
-fn prompt(source: &str, hints: ProblemHints, feedback: Option<&str>) -> Prompt {
+fn prompt(source: &str, hints: ProblemHints, feedback: Option<Feedback>) -> Prompt {
     Prompt {
         source: source.to_string(),
         hints,
-        feedback: feedback.map(str::to_string),
+        feedback,
     }
 }
 

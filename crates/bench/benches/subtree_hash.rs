@@ -5,9 +5,8 @@
 //! the incremental path.
 //!
 //! Prints the measured incremental-vs-full speedup before the criterion
-//! groups run; the CI microbench step greps for that line as the
-//! acceptance check (the incremental rehash must be >= 5x faster on a
-//! 1-predicate edit).
+//! groups run, and exits nonzero when the incremental rehash is less than
+//! 5x faster on a 1-predicate edit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mualloy_syntax::walk::{collect_sites, node_at, replace_node, subtree_size_formula, NodeRepl};
@@ -62,8 +61,8 @@ fn bench_subtree_hash(c: &mut Criterion) {
     assert_eq!(incremental, spec_fingerprint(&edited));
     assert_ne!(incremental, hasher.fingerprint());
 
-    // The acceptance measurement, printed for the CI step to grep: time
-    // both paths outside criterion so the ratio lands on one line.
+    // The acceptance measurement: time both paths outside criterion so the
+    // ratio lands on one line.
     const ITERS: u32 = 2_000;
     let t0 = Instant::now();
     for _ in 0..ITERS {
@@ -75,13 +74,18 @@ fn bench_subtree_hash(c: &mut Criterion) {
         std::hint::black_box(spec_fingerprint(&edited));
     }
     let full_ns = t0.elapsed().as_nanos() / ITERS as u128;
+    let speedup = full_ns as f64 / inc_ns.max(1) as f64;
     println!(
         "subtree_hash speedup: incremental {} ns vs full {} ns = {:.1}x ({} nodes)",
         inc_ns,
         full_ns,
-        full_ns as f64 / inc_ns.max(1) as f64,
+        speedup,
         hasher.node_count(),
     );
+    if speedup < 5.0 {
+        eprintln!("error: incremental rehash only {speedup:.1}x faster than full fingerprint");
+        std::process::exit(1);
+    }
 
     let mut group = c.benchmark_group("subtree_hash");
     group.bench_function("incremental_rehash_1_edit", |b| {

@@ -393,6 +393,28 @@ pub fn replace_node(spec: &Spec, id: NodeId, repl: NodeRepl) -> Option<Spec> {
     }
 }
 
+/// The formula `f` with the node identified by `id` replaced: what
+/// [`replace_node`] makes of `f` when `f` is a body formula of the spec.
+///
+/// Unlike [`replace_node`] the payload keeps its ids, so the result is for
+/// reading (elaborating, evaluating), not for splicing into a spec.
+///
+/// Returns `None` if `f` holds no node with that id or the replacement kind
+/// does not match the node kind.
+pub fn replace_in_formula(f: &Formula, id: NodeId, repl: &NodeRepl) -> Option<Formula> {
+    if id.is_unassigned() {
+        return None;
+    }
+    let mut out = f.clone();
+    let mut rb = Replacer {
+        target: id,
+        repl: Some(repl.clone()),
+        kind_mismatch: false,
+    };
+    rb.visit_formula_mut(&mut out);
+    (rb.repl.is_none() && !rb.kind_mismatch).then_some(out)
+}
+
 // ------------------------------------------------------------ substitution
 
 /// Capture-naive substitution of free identifiers in an expression.
@@ -671,6 +693,33 @@ mod tests {
             strip_formula_spans(&out.facts[0].body[0]),
             strip_formula_spans(&spec.facts[0].body[0])
         );
+    }
+
+    #[test]
+    fn replace_in_formula_matches_replace_node() {
+        let spec = sample_spec();
+        let fact = &spec.facts[0].body[0];
+        let nf = parse_formula("some A").unwrap();
+        for site in collect_sites(&spec) {
+            let repl = if site.is_formula {
+                NodeRepl::Formula(nf.clone())
+            } else {
+                NodeRepl::Expr(Expr::ident("A"))
+            };
+            let local = replace_in_formula(fact, site.id, &repl);
+            if site.owner.0 != OwnerKind::Fact {
+                assert!(local.is_none(), "{:?} is outside the fact", site.id);
+                continue;
+            }
+            let whole = replace_node(&spec, site.id, repl).unwrap();
+            assert_eq!(
+                strip_formula_spans(&local.unwrap()),
+                strip_formula_spans(&whole.facts[0].body[0])
+            );
+        }
+        let formula_site = collect_sites(&spec)[0].id;
+        let wrong = NodeRepl::Expr(Expr::ident("A"));
+        assert!(replace_in_formula(fact, formula_site, &wrong).is_none());
     }
 
     #[test]

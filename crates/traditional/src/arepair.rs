@@ -9,6 +9,14 @@
 //! commands (see [`crate::support::derive_tests`]); like the original, the
 //! only success criterion is *the tests pass* — which makes ARepair prone to
 //! overfitting, exactly the weakness the paper observes (REP 194/1974).
+//!
+//! Each greedy step (ARepair's, and each of ICEBAR's rounds) caches the
+//! current spec's ground verdicts on the suite once: every fact formula on
+//! every test valuation, and every test formula on its own. A mutant is
+//! judged on those, with only the formulas its edit reaches re-elaborated
+//! and re-evaluated. It is built only when its edit sits in a pred or fun
+//! that a fact or test formula calls, or when it becomes the step's best.
+//! The counts are [`TestSuite::run`]'s, so the search takes the same steps.
 
 use std::collections::HashSet;
 
@@ -16,6 +24,8 @@ use mualloy_analyzer::TestSuite;
 use mualloy_syntax::{Fingerprint, Spec, SpecHasher};
 use specrepair_core::{CancelToken, OutcomeReason, RepairContext, RepairOutcome, RepairTechnique};
 use specrepair_mutation::MutationEngine;
+
+use crate::ground::{places, BaseVerdicts, Candidate, Verdict, View};
 
 /// The ARepair technique.
 #[derive(Debug, Clone)]
@@ -34,9 +44,43 @@ impl Default for ARepair {
     }
 }
 
+/// How many of the suite's tests the candidate whose ground verdicts `v`
+/// holds fails, as [`TestSuite::run`] counts them, counting up to `bound`:
+/// a count at `bound` means at least that many.
+///
+/// When a fact formula does not elaborate every test fails. Otherwise a
+/// test fails when a fact fails to evaluate on its valuation; when every
+/// fact holds it passes iff its formula evaluates to its expectation, and
+/// when one is false iff it expects false.
+pub(crate) fn aunit_failures(v: &View<'_, '_>, suite: &TestSuite, bound: usize) -> usize {
+    if !v.facts_elaborate() {
+        return suite.len();
+    }
+    let mut failed = 0;
+    for (i, t) in suite.tests().iter().enumerate() {
+        let passes = match v.facts_on(i) {
+            Verdict::Is(true) => v.goal_on(i) == Verdict::Is(t.expect),
+            Verdict::Is(false) => !t.expect,
+            Verdict::Error | Verdict::Unelaborated => false,
+        };
+        if !passes {
+            failed += 1;
+            if failed >= bound {
+                break;
+            }
+        }
+    }
+    failed
+}
+
 /// Greedy hill-climbing over single mutations, driven by a test suite.
 /// `seen` holds the fingerprints of the candidates already explored, so a
 /// structural duplicate is skipped for free.
+///
+/// Each step checks the mutants of the current spec against its cached
+/// ground verdicts ([`BaseVerdicts`]) and builds one only when its edit
+/// sits in a pred or fun that a checked formula calls, or when it becomes
+/// the step's best.
 ///
 /// Returns `(best candidate, tests all pass, candidates explored)`.
 pub(crate) fn greedy_test_repair(
@@ -61,9 +105,14 @@ pub(crate) fn greedy_test_repair(
             mutation_span.attr_u64("mutations", mutations.len() as u64);
         }
         drop(mutation_span);
+        let _screen_span =
+            specrepair_trace::span("technique.screen", specrepair_trace::Phase::Orchestration);
         // Every mutant is a single-node rewrite of `current`: one memoized
-        // hasher per step keys them all by an O(path) rehash.
+        // hasher per step keys them all by an O(path) rehash, and one set
+        // of ground verdicts judges them all.
         let hasher = SpecHasher::new(&current);
+        let places = places(engine.sites());
+        let verdicts = BaseVerdicts::for_suite(&current, suite);
         // First-improvement hill climbing (as in the original ARepair: the
         // first strictly-improving edit is taken immediately — fast and
         // overfitting-prone). ICEBAR's refinement loop asks for `thorough`
@@ -73,18 +122,27 @@ pub(crate) fn greedy_test_repair(
             if explored >= max_candidates {
                 break;
             }
-            let Some(mutant) = engine.apply(m) else {
+            let Some((mut candidate, key)) =
+                Candidate::keyed(&current, &hasher, &places, m.site, &m.repl)
+            else {
                 continue;
             };
-            if !seen.insert(hasher.fingerprint_edit(&mutant, m.site, &m.repl)) {
+            if !seen.insert(key) {
                 continue;
             }
             explored += 1;
-            let (_, fail) = suite.run(&mutant);
-            if fail < current_fail && best.as_ref().is_none_or(|(_, bf)| fail < *bf) {
-                let done = fail == 0;
+            // Only a count below the best so far can win the step.
+            let bound = best.as_ref().map_or(current_fail, |(_, bf)| *bf);
+            let Some(fail) = verdicts.check(&mut candidate, |v| aunit_failures(v, suite, bound))
+            else {
+                continue;
+            };
+            if fail < bound {
+                let Some(mutant) = candidate.into_spec(&current) else {
+                    continue;
+                };
                 best = Some((mutant, fail));
-                if done || !thorough {
+                if fail == 0 || !thorough {
                     break;
                 }
             }
@@ -270,6 +328,58 @@ mod tests {
                 .satisfies_oracle()
                 .expect("oracle evaluation must not error on a parsed candidate");
         }
+    }
+
+    /// Every greedy-step mutant of a corpus slice, under the suites
+    /// ARepair and ICEBAR derive, fails as many tests through the cached
+    /// verdicts as `TestSuite::run` counts on the built mutant, and gets
+    /// the same key. The bases are each faulty spec and, for spliced ids as
+    /// a second step sees them, its first mutant. About 2 s unoptimized.
+    #[test]
+    fn cached_failures_match_suite_runs_on_the_corpus() {
+        use mualloy_syntax::spec_fingerprint;
+        let oracle = mualloy_analyzer::Oracle::new();
+        let mut mutants = 0;
+        for p in specrepair_benchmarks::full_study(0.005).iter() {
+            let faulty_engine = MutationEngine::new(&p.faulty);
+            let first = faulty_engine
+                .all_mutations()
+                .iter()
+                .find_map(|m| faulty_engine.apply(m));
+            for (per_command, admission) in [(1, true), (3, false)] {
+                let suite =
+                    crate::support::derive_tests(&oracle, &p.faulty, per_command, admission);
+                for base in std::iter::once(&p.faulty).chain(&first) {
+                    let engine = MutationEngine::new(base);
+                    let hasher = SpecHasher::new(base);
+                    let places = places(engine.sites());
+                    let verdicts = BaseVerdicts::for_suite(base, &suite);
+                    let own = aunit_failures(&verdicts.view(), &suite, usize::MAX);
+                    assert_eq!(own, suite.run(base).1, "{}", p.id);
+                    for m in engine.all_mutations() {
+                        let built = engine.apply(&m);
+                        let keyed = Candidate::keyed(base, &hasher, &places, m.site, &m.repl);
+                        assert_eq!(keyed.is_some(), built.is_some(), "{}", p.id);
+                        let (Some((mut cand, key)), Some(built)) = (keyed, built) else {
+                            continue;
+                        };
+                        assert_eq!(key, spec_fingerprint(&built), "{}", p.id);
+                        let cached =
+                            verdicts.check(&mut cand, |v| aunit_failures(v, &suite, usize::MAX));
+                        assert_eq!(
+                            cached,
+                            Some(suite.run(&built).1),
+                            "{}: {}",
+                            p.id,
+                            m.description
+                        );
+                        assert_eq!(cand.into_spec(base).as_ref(), Some(&built), "{}", p.id);
+                        mutants += 1;
+                    }
+                }
+            }
+        }
+        assert!(mutants > 1000, "{mutants}");
     }
 
     #[test]

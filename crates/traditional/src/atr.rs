@@ -7,19 +7,33 @@
 //! candidate space cheaply by requiring every candidate to reject the cached
 //! counterexamples and keep admitting the cached satisfying instances before
 //! any full validation is spent on it.
+//!
+//! The evidence is gathered once per run: up to `cache_per_command`
+//! counterexamples of each failing check and the instance of each passing
+//! run. Each suspicious site's edits (the mutants inside its span, then the
+//! template replacements, then the synthesis mutations) are streamed. Each
+//! edit is keyed by an incremental rehash of the faulty spec and skipped
+//! when already seen. It is then screened on the faulty spec's ground
+//! verdicts, cached once per run, with only the formulas the edit reaches
+//! re-elaborated and re-evaluated. Only a survivor is built and checked for
+//! well-formedness. A strong one is validated at once, weak ones after the
+//! site's last edit, so the oracle sees the site's strong candidates in
+//! order, then its weak ones.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 use mualloy_analyzer::Oracle;
-use mualloy_relational::{assert_body, elaborate_facts, pred_as_existential, Evaluator, Instance};
+use mualloy_relational::Instance;
 use mualloy_syntax::ast::*;
-use mualloy_syntax::walk::{node_at, replace_node, NodeRepl, NodeSite};
-use mualloy_syntax::Fingerprint;
+use mualloy_syntax::walk::{node_at, NodeRepl, NodeSite};
 use specrepair_core::{
     localization::{constraint_sites, localize_with},
     OutcomeReason, RepairContext, RepairOutcome, RepairTechnique,
 };
 use specrepair_mutation::{MutationEngine, Vocabulary};
+
+use crate::ground::{places, BaseVerdicts, Candidate, Verdict, View};
 
 /// The ATR technique.
 #[derive(Debug, Clone)]
@@ -78,7 +92,7 @@ fn gather_evidence(oracle: &Oracle, spec: &Spec, per_command: usize) -> Evidence
 
 /// Screening verdict: how a candidate fares against the cached evidence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Screen {
+pub(crate) enum Screen {
     /// Rejects every counterexample and keeps every witness.
     Strong,
     /// Rejects every counterexample but loses a witness. Witnesses were
@@ -89,57 +103,65 @@ enum Screen {
     Fail,
 }
 
-/// Cheap screen judged by ground evaluation (no solving). The candidate's
-/// facts are elaborated once for all the evidence.
-fn screen(candidate: &Spec, evidence: &Evidence) -> Screen {
-    let facts = elaborate_facts(candidate).ok();
-    if !rejects_counterexamples(candidate, facts.as_deref(), evidence) {
-        return Screen::Fail;
+/// Cheap screen judged by ground evaluation (no solving), on the
+/// candidate's verdicts over the evidence: the first `cexs` valuations are
+/// the counterexamples, the rest the witnesses.
+///
+/// Facts that fail to elaborate hold on no instance, and an evaluation
+/// error counts as false. A counterexample is still admitted when its
+/// assertion's body does not elaborate, or when the facts hold on it and
+/// the body does not; a witness is lost when its predicate's existential
+/// does not elaborate, or when the facts and the existential do not both
+/// hold on it.
+pub(crate) fn screen(v: &View<'_, '_>, cexs: usize) -> Screen {
+    let facts_hold = |i| v.facts_on(i) == Verdict::Is(true);
+    for i in 0..cexs {
+        let body = v.goal_on(i);
+        if body == Verdict::Unelaborated || (facts_hold(i) && body != Verdict::Is(true)) {
+            return Screen::Fail;
+        }
     }
-    if keeps_witnesses(candidate, facts.as_deref(), evidence) {
+    if (cexs..v.valuations()).all(|i| facts_hold(i) && v.goal_on(i) == Verdict::Is(true)) {
         Screen::Strong
     } else {
         Screen::Weak
     }
 }
 
-/// Whether the elaborated facts hold on the instance; facts that failed to
-/// elaborate (`None`) hold on none.
-fn facts_hold_on(facts: Option<&[Formula]>, ev: &Evaluator) -> bool {
-    facts.is_some_and(|fs| fs.iter().all(|f| ev.formula(f).unwrap_or(false)))
-}
-
-fn rejects_counterexamples(
+/// The whole-spec screen [`screen`] stands in for: the candidate's facts
+/// and goals elaborated and evaluated afresh for each candidate.
+#[cfg(test)]
+pub(crate) fn reference_screen(
     candidate: &Spec,
-    facts: Option<&[Formula]>,
-    evidence: &Evidence,
-) -> bool {
-    for (assert_name, cex) in &evidence.rejected {
-        // Rejection: NOT (facts && !assert) on the counterexample.
-        let Ok(body) = assert_body(candidate, assert_name) else {
-            return false;
+    rejected: &[(String, Instance)],
+    admitted: &[(String, Instance)],
+) -> Screen {
+    use mualloy_relational::{assert_body, elaborate_facts, pred_as_existential, Evaluator};
+    let facts = elaborate_facts(candidate).ok();
+    let facts_hold = |ev: &Evaluator| {
+        facts
+            .as_ref()
+            .is_some_and(|fs| fs.iter().all(|f| ev.formula(f).unwrap_or(false)))
+    };
+    for (name, cex) in rejected {
+        let Ok(body) = assert_body(candidate, name) else {
+            return Screen::Fail;
         };
         let ev = Evaluator::new(cex);
-        let facts_hold = facts_hold_on(facts, &ev);
-        let assert_holds = ev.formula(&body).unwrap_or(false);
-        if facts_hold && !assert_holds {
-            return false; // the counterexample would still be admitted
+        if facts_hold(&ev) && !ev.formula(&body).unwrap_or(false) {
+            return Screen::Fail;
         }
     }
-    true
-}
-
-fn keeps_witnesses(candidate: &Spec, facts: Option<&[Formula]>, evidence: &Evidence) -> bool {
-    for (pred_name, inst) in &evidence.admitted {
-        let Ok(formula) = pred_as_existential(candidate, pred_name) else {
-            return false;
+    for (name, witness) in admitted {
+        let Ok(formula) = pred_as_existential(candidate, name) else {
+            return Screen::Weak;
         };
-        let ev = Evaluator::new(inst);
-        if !(facts_hold_on(facts, &ev) && ev.formula(&formula).unwrap_or(false)) {
-            return false; // a known-good witness was lost
+        let ev = Evaluator::new(witness);
+        if !(facts_hold(&ev) && ev.formula(&formula).unwrap_or(false)) {
+            return Screen::Weak;
         }
     }
-    true
+    Screen::Strong
 }
 
 // ATR's predefined repair templates live in
@@ -179,77 +201,91 @@ impl RepairTechnique for Atr {
         let engine = MutationEngine::new(&ctx.faulty);
         let mutations = engine.all_mutations();
         drop(mutation_span);
+        let places = places(engine.sites());
+        let mut verdicts = None;
+        let cexs = evidence.rejected.len();
+        // Validates one candidate; `Some` ends the run.
+        let mut validate = |cand: Spec, key| match session.validate_keyed(&cand, key) {
+            None => Some(
+                RepairOutcome::failure(self.name(), session.validated(), 1).with_reason(
+                    RepairOutcome::failure_reason_for(ctx, OutcomeReason::BudgetExhausted),
+                ),
+            ),
+            Some(true) => Some(RepairOutcome::success_with(
+                self.name(),
+                cand,
+                session.validated(),
+                1,
+            )),
+            Some(false) => None,
+        };
         for site in sites {
+            let screen_span =
+                specrepair_trace::span("technique.screen", specrepair_trace::Phase::Orchestration);
+            let verdicts = verdicts.get_or_insert_with(|| {
+                BaseVerdicts::for_evidence(&ctx.faulty, &evidence.rejected, &evidence.admitted)
+            });
             // (a) mutation-level candidates at the site and its subtree.
-            // Each candidate is a single-node rewrite of the faulty spec, so
-            // it carries its incrementally-rehashed canonical fingerprint.
-            let mut candidates: Vec<(Spec, Fingerprint)> = Vec::new();
-            for m in &mutations {
-                // Only mutations within the suspicious site's span.
-                if m.span.start >= site.span.start
-                    && m.span.end <= site.span.end.max(site.span.start + 1)
-                {
-                    if let Some(mutant) = engine.apply(m) {
-                        let key = ctx.fingerprint_edit(&mutant, m.site, &m.repl);
-                        candidates.push((mutant, key));
-                    }
-                }
-            }
+            let mut edits: Vec<(NodeId, Cow<'_, NodeRepl>)> = mutations
+                .iter()
+                .filter(|m| {
+                    // Only mutations within the suspicious site's span.
+                    m.span.start >= site.span.start
+                        && m.span.end <= site.span.end.max(site.span.start + 1)
+                })
+                .map(|m| (m.site, Cow::Borrowed(&m.repl)))
+                .collect();
             // (b) whole-constraint template replacements and template
             // strengthenings (conjunct additions) at the site.
             if let Some(NodeRepl::Formula(_)) = node_at(&ctx.faulty, site.id) {
-                for tf in template_formulas(&vocab, site, self.max_templates_per_site / 2) {
-                    let payload = NodeRepl::Formula(tf);
-                    if let Some(cand) = replace_node(&ctx.faulty, site.id, payload.clone()) {
-                        let key = ctx.fingerprint_edit(&cand, site.id, &payload);
-                        candidates.push((cand, key));
-                    }
-                }
-                for m in synthesis_mutations(
-                    &ctx.faulty,
-                    &vocab,
-                    std::slice::from_ref(site),
-                    self.max_templates_per_site / 2,
-                ) {
-                    if let Some(cand) = replace_node(&ctx.faulty, m.site, m.repl.clone()) {
-                        let key = ctx.fingerprint_edit(&cand, m.site, &m.repl);
-                        candidates.push((cand, key));
-                    }
-                }
+                let cap = self.max_templates_per_site / 2;
+                edits.extend(
+                    template_formulas(&vocab, site, cap)
+                        .into_iter()
+                        .map(|tf| (site.id, Cow::Owned(NodeRepl::Formula(tf)))),
+                );
+                edits.extend(
+                    synthesis_mutations(&ctx.faulty, &vocab, std::slice::from_ref(site), cap)
+                        .into_iter()
+                        .map(|m| (m.site, Cow::Owned(m.repl))),
+                );
             }
-            // Screen candidates cheaply, then validate strong ones first:
-            // witnesses recorded under the faulty spec may themselves be
-            // tainted, so weak candidates stay eligible, just deprioritized.
-            let mut strong = Vec::new();
+            // Each edit is a single-node rewrite of the faulty spec: key it
+            // by an incremental rehash, screen it on the cached verdicts,
+            // and build only the survivors. Strong candidates are validated
+            // at once; witnesses recorded under the faulty spec may
+            // themselves be tainted, so weak candidates stay eligible, just
+            // after the site's strong ones.
             let mut weak = Vec::new();
-            for (cand, key) in candidates {
-                if !seen.insert(key) || !mualloy_syntax::check_spec(&cand).is_empty() {
+            for (target, repl) in &edits {
+                let Some((mut candidate, key)) =
+                    Candidate::keyed(&ctx.faulty, &ctx.hasher, &places, *target, repl)
+                else {
+                    continue;
+                };
+                if !seen.insert(key) {
                     continue;
                 }
-                match screen(&cand, &evidence) {
-                    Screen::Strong => strong.push((cand, key)),
-                    Screen::Weak => weak.push((cand, key)),
-                    Screen::Fail => {}
+                let verdict = verdicts.check(&mut candidate, |v| screen(v, cexs));
+                if matches!(verdict, None | Some(Screen::Fail)) {
+                    continue;
+                }
+                let Some(cand) = candidate.into_spec(&ctx.faulty) else {
+                    continue;
+                };
+                if !mualloy_syntax::check_spec(&cand).is_empty() {
+                    continue;
+                }
+                if verdict == Some(Screen::Weak) {
+                    weak.push((cand, key));
+                } else if let Some(outcome) = validate(cand, key) {
+                    return outcome;
                 }
             }
-            for (cand, key) in strong.into_iter().chain(weak) {
-                match session.validate_keyed(&cand, key) {
-                    None => {
-                        return RepairOutcome::failure(self.name(), session.validated(), 1)
-                            .with_reason(RepairOutcome::failure_reason_for(
-                                ctx,
-                                OutcomeReason::BudgetExhausted,
-                            ))
-                    }
-                    Some(true) => {
-                        return RepairOutcome::success_with(
-                            self.name(),
-                            cand,
-                            session.validated(),
-                            1,
-                        )
-                    }
-                    Some(false) => {}
+            drop(screen_span);
+            for (cand, key) in weak {
+                if let Some(outcome) = validate(cand, key) {
+                    return outcome;
                 }
             }
         }
@@ -290,6 +326,23 @@ mod tests {
         assert!(out.success);
     }
 
+    /// The cached screen of `candidate`, an edit of `faulty`.
+    fn cached_screen(faulty: &Spec, evidence: &Evidence, candidate: &Spec) -> Screen {
+        let verdicts = BaseVerdicts::for_evidence(faulty, &evidence.rejected, &evidence.admitted);
+        if candidate == faulty {
+            return screen(&verdicts.view(), evidence.rejected.len());
+        }
+        // The candidate as one edit of the faulty spec's first fact.
+        let payload = NodeRepl::Formula(candidate.facts[0].body[0].clone());
+        let places = places(&mualloy_syntax::collect_sites(faulty));
+        let hasher = mualloy_syntax::SpecHasher::new(faulty);
+        let target = faulty.facts[0].body[0].id();
+        let (mut cand, _) = Candidate::keyed(faulty, &hasher, &places, target, &payload).unwrap();
+        verdicts
+            .check(&mut cand, |v| screen(v, evidence.rejected.len()))
+            .unwrap()
+    }
+
     #[test]
     fn screen_rejects_candidates_that_keep_counterexamples() {
         let faulty = mualloy_syntax::parse_spec(
@@ -301,8 +354,10 @@ mod tests {
         .unwrap();
         let evidence = gather_evidence(&Oracle::new(), &faulty, 2);
         assert!(!evidence.rejected.is_empty());
+        let reference = |c: &Spec| reference_screen(c, &evidence.rejected, &evidence.admitted);
         // The faulty spec itself fails its own screen.
-        assert_eq!(screen(&faulty, &evidence), Screen::Fail);
+        assert_eq!(cached_screen(&faulty, &evidence, &faulty), Screen::Fail);
+        assert_eq!(reference(&faulty), Screen::Fail);
         // The ground truth passes.
         let fixed = mualloy_syntax::parse_spec(
             "sig N { next: lone N } \
@@ -311,7 +366,72 @@ mod tests {
              check NoSelf for 3 expect 0",
         )
         .unwrap();
-        assert_ne!(screen(&fixed, &evidence), Screen::Fail);
+        assert_ne!(cached_screen(&faulty, &evidence, &fixed), Screen::Fail);
+        assert_eq!(cached_screen(&faulty, &evidence, &fixed), reference(&fixed));
+    }
+
+    /// Every ATR edit of a corpus slice (mutants, templates and synthesis
+    /// mutations at every constraint site) gets the same key and screen
+    /// through the cached verdicts as through the built candidate, and
+    /// builds the same spec. About 4 s unoptimized.
+    #[test]
+    fn cached_screen_matches_the_whole_spec_screen_on_the_corpus() {
+        use mualloy_syntax::walk::replace_node;
+        use mualloy_syntax::{spec_fingerprint, SpecHasher};
+        let oracle = Oracle::new();
+        let atr = Atr::default();
+        let (mut edits_checked, mut by_screen) = (0, [0usize; 3]);
+        for p in specrepair_benchmarks::full_study(0.005).iter() {
+            let faulty = &p.faulty;
+            let evidence = gather_evidence(&oracle, faulty, atr.cache_per_command);
+            let verdicts =
+                BaseVerdicts::for_evidence(faulty, &evidence.rejected, &evidence.admitted);
+            let engine = MutationEngine::new(faulty);
+            let hasher = SpecHasher::new(faulty);
+            let places = places(engine.sites());
+            let vocab = Vocabulary::of(faulty);
+            let cap = atr.max_templates_per_site / 2;
+            let mut edits: Vec<(NodeId, NodeRepl)> = engine
+                .all_mutations()
+                .into_iter()
+                .map(|m| (m.site, m.repl))
+                .collect();
+            for site in constraint_sites(faulty) {
+                edits.extend(
+                    template_formulas(&vocab, &site, cap)
+                        .into_iter()
+                        .map(|tf| (site.id, NodeRepl::Formula(tf))),
+                );
+                edits.extend(
+                    synthesis_mutations(faulty, &vocab, std::slice::from_ref(&site), cap)
+                        .into_iter()
+                        .map(|m| (m.site, m.repl)),
+                );
+            }
+            for (target, repl) in &edits {
+                let built = replace_node(faulty, *target, repl.clone());
+                let keyed = Candidate::keyed(faulty, &hasher, &places, *target, repl);
+                assert_eq!(keyed.is_some(), built.is_some(), "{}", p.id);
+                let (Some((mut cand, key)), Some(built)) = (keyed, built) else {
+                    continue;
+                };
+                assert_eq!(key, spec_fingerprint(&built), "{}", p.id);
+                let cached = verdicts.check(&mut cand, |v| screen(v, evidence.rejected.len()));
+                let whole = reference_screen(&built, &evidence.rejected, &evidence.admitted);
+                assert_eq!(
+                    cached,
+                    Some(whole),
+                    "{}: {}",
+                    p.id,
+                    mualloy_syntax::print_spec(&built)
+                );
+                assert_eq!(cand.into_spec(faulty).as_ref(), Some(&built), "{}", p.id);
+                edits_checked += 1;
+                by_screen[whole as usize] += 1;
+            }
+        }
+        assert!(edits_checked > 1000, "{edits_checked}");
+        assert!(by_screen.iter().all(|&n| n > 0), "{by_screen:?}");
     }
 
     #[test]

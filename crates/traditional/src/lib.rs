@@ -38,6 +38,7 @@
 pub mod arepair;
 pub mod atr;
 pub mod beafix;
+mod ground;
 pub mod icebar;
 pub mod support;
 

@@ -4,6 +4,7 @@
 //! (assertion validity, predicate satisfiability, counterexample generation,
 //! instance enumeration) goes through this type.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -35,6 +36,14 @@ impl CommandOutcome {
     pub fn matches_expectation(&self) -> bool {
         self.command.expect.is_none_or(|e| e == self.sat)
     }
+}
+
+thread_local! {
+    /// The solver every cold command on this thread encodes into, kept
+    /// between commands so that its clause arena, watch lists and
+    /// per-variable vectors are allocated once per thread rather than once
+    /// per command.
+    static SCRATCH_SOLVER: Cell<Option<Solver>> = const { Cell::new(None) };
 }
 
 /// Bounded analyzer over a parsed specification.
@@ -165,8 +174,8 @@ impl Analyzer {
     }
 
     /// Compiles `formula` on top of the base translation `tr`, encodes
-    /// base ∧ formula into a fresh solver and enumerates up to `limit`
-    /// instances.
+    /// base ∧ formula into the thread's scratch solver, cleared, and
+    /// enumerates up to `limit` instances.
     fn solve_on(
         tr: &mut Translator,
         formula: &Formula,
@@ -177,7 +186,11 @@ impl Analyzer {
         let f = elaborate_formula(tr.spec(), formula)?;
         let fv = tr.compile_formula(&f)?;
         let root = tr.circuit.and(tr.base_constraint(), fv);
-        let mut solver = Solver::new();
+        // A cleared solver answers exactly as a fresh one; reusing it only
+        // keeps its allocations. A nested call finds the slot empty and
+        // gets a fresh solver.
+        let mut solver = SCRATCH_SOLVER.take().unwrap_or_default();
+        solver.clear();
         let inputs = tr.circuit.encode(root, &mut solver);
         if span.is_active() {
             span.attr_u64("scope", scope as u64);
@@ -206,6 +219,7 @@ impl Analyzer {
                 SolveResult::Unsat => break,
             }
         }
+        SCRATCH_SOLVER.set(Some(solver));
         Ok(out)
     }
 

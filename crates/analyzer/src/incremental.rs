@@ -5,9 +5,10 @@
 //! tiny mutations of one faulty spec: they share their signature skeleton
 //! (and therefore their universe, relation matrices and declaration
 //! constraints) and almost all of their fact bodies. The cold oracle path
-//! rebuilds a [`Translator`] and a fresh SAT solver per candidate; this
-//! engine instead keeps one [`Translator`] plus one
-//! [`IncrementalSession`] alive per *(skeleton fingerprint, scope)* pair:
+//! rebuilds a [`Translator`] and re-encodes everything into an emptied SAT
+//! solver per candidate; this engine instead keeps one [`Translator`] plus
+//! one [`IncrementalSession`] alive per *(skeleton fingerprint, scope)*
+//! pair:
 //!
 //! - the universe, matrices and declaration constraint are built once from
 //!   the first candidate and reused verbatim (candidates share sigs by

@@ -4,8 +4,8 @@
 //! activation-guarded checks, learnt clauses retained, and partial-repair
 //! checking: the last refuting command first, stopping at the first
 //! mismatch) vs the cold path (a fresh [`Analyzer`] per candidate: one
-//! translation per scope, and a fresh encoding and solver for every
-//! command).
+//! translation per scope, and a fresh encoding into the thread's cleared
+//! solver for every command).
 //!
 //! Prints the measured cold-vs-incremental speedup before the criterion
 //! groups run, and exits nonzero when the incremental path is less than 3x

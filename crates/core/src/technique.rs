@@ -3,7 +3,8 @@
 use std::sync::Arc;
 
 use mualloy_analyzer::Oracle;
-use mualloy_syntax::walk::{NodeId, NodeRepl};
+use mualloy_syntax::ast::{AssertDecl, Command, CommandKind, Formula};
+use mualloy_syntax::walk::{strip_formula_spans, NodeId, NodeRepl};
 use mualloy_syntax::{Fingerprint, Spec, SpecHasher};
 use serde::{Deserialize, Serialize};
 
@@ -299,10 +300,38 @@ pub fn oracle_accepts(oracle: &Oracle, candidate: &Spec) -> bool {
 /// would pass [`oracle_accepts`] vacuously; every pipeline that consumes
 /// free-form candidate text (the LLM ones) must reject such candidates.
 pub fn preserves_oracle_surface(original: &Spec, candidate: &Spec) -> bool {
-    use mualloy_syntax::walk::strip_spec_spans;
-    let o = strip_spec_spans(original);
-    let c = strip_spec_spans(candidate);
-    o.commands == c.commands && o.asserts == c.asserts
+    // Equality once every span is synthetic. Only these two fields are
+    // stripped: stripping a whole spec clones every declaration in it.
+    let (o, c) = (original, candidate);
+    o.commands
+        .iter()
+        .map(command_surface)
+        .eq(c.commands.iter().map(command_surface))
+        && o.asserts
+            .iter()
+            .map(assert_surface)
+            .eq(c.asserts.iter().map(assert_surface))
+}
+
+/// A command without its span.
+fn command_surface(c: &Command) -> (&CommandKind, u32, Option<bool>) {
+    let Command {
+        kind,
+        scope,
+        expect,
+        span: _,
+    } = c;
+    (kind, *scope, *expect)
+}
+
+/// An assertion without its span, its body stripped of spans.
+fn assert_surface(a: &AssertDecl) -> (&str, Vec<Formula>) {
+    let AssertDecl {
+        name,
+        body,
+        span: _,
+    } = a;
+    (name, body.iter().map(strip_formula_spans).collect())
 }
 
 /// [`oracle_accepts`] plus the [`preserves_oracle_surface`] guard.
@@ -329,6 +358,24 @@ mod tests {
     fn oracle_rejects_faulty_spec() {
         let bad = GOOD.replace("no n: N | n in n.^next", "some univ || no univ");
         assert!(!oracle_accepts(&Oracle::new(), &parse_spec(&bad).unwrap()));
+    }
+
+    #[test]
+    fn oracle_surface_ignores_spans_but_not_assertions_or_expectations() {
+        let original = parse_spec(GOOD).unwrap();
+        let candidate = |src: &str| parse_spec(src).unwrap();
+        // Shifted source: every span moves, nothing else does.
+        assert!(preserves_oracle_surface(
+            &original,
+            &candidate(&format!("\n\n   {GOOD}"))
+        ));
+        let weakened = GOOD.replace("n not in n.next", "n in n.next || n not in n.next");
+        assert!(!preserves_oracle_surface(&original, &candidate(&weakened)));
+        let unexpected = GOOD.replace(" expect 0", "");
+        assert!(!preserves_oracle_surface(
+            &original,
+            &candidate(&unexpected)
+        ));
     }
 
     #[test]

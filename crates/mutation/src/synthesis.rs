@@ -106,6 +106,17 @@ pub fn template_formulas(vocab: &Vocabulary, site: &NodeSite, cap: usize) -> Vec
     out
 }
 
+/// The strengthening of `existing` by `template`: `existing && template`,
+/// carrying `existing`'s metadata.
+pub fn conjoin_template(existing: &Formula, template: &Formula) -> Formula {
+    Formula::Binary(
+        BinFormOp::And,
+        Box::new(existing.clone()),
+        Box::new(template.clone()),
+        existing.meta(),
+    )
+}
+
 /// Synthesis-level mutations at a formula site: replacing the whole
 /// constraint by a template, or strengthening it by conjoining one.
 ///
@@ -140,16 +151,10 @@ pub fn synthesis_mutations(
                     ),
                 });
             } else {
-                let strengthened = Formula::Binary(
-                    BinFormOp::And,
-                    Box::new(existing.clone()),
-                    Box::new(t.clone()),
-                    existing.meta(),
-                );
                 out.push(Mutation {
                     site: site.id,
                     span: site.span,
-                    repl: NodeRepl::Formula(strengthened),
+                    repl: NodeRepl::Formula(conjoin_template(&existing, t)),
                     kind: MutationKind::TemplateConjoin,
                     description: format!("conjoin `{}`", mualloy_syntax::print_formula(t)),
                 });

@@ -80,8 +80,169 @@ mod proptests {
             })
     }
 
+    /// A gate of a random circuit: AND (`true`) or OR over two earlier
+    /// references, each an index taken modulo the references so far and a
+    /// negation flag.
+    type Gate = (bool, (usize, bool), (usize, bool));
+
+    /// Random circuits: up to 6 inputs, then up to 16 gates. The root is the
+    /// last reference.
+    fn arb_circuit() -> impl Strategy<Value = (u32, Vec<Gate>)> {
+        (
+            1u32..=6,
+            proptest::collection::vec(
+                (
+                    any::<bool>(),
+                    (any::<usize>(), any::<bool>()),
+                    (any::<usize>(), any::<bool>()),
+                ),
+                0..16,
+            ),
+        )
+    }
+
+    fn build_circuit(inputs: u32, gates: &[Gate]) -> (Circuit, BoolRef) {
+        let mut c = Circuit::new();
+        let mut refs: Vec<BoolRef> = (0..inputs).map(|_| c.input()).collect();
+        for &(is_and, a, b) in gates {
+            let pick = |(i, neg): (usize, bool)| {
+                let r = refs[i % refs.len()];
+                if neg {
+                    !r
+                } else {
+                    r
+                }
+            };
+            let (a, b) = (pick(a), pick(b));
+            let g = if is_and { c.and(a, b) } else { c.or(a, b) };
+            refs.push(g);
+        }
+        let root = *refs.last().expect("at least one input");
+        (c, root)
+    }
+
+    /// What one solve left observable: the result with its model, the
+    /// counters, and the clause and variable counts.
+    type Step = (SolveResult, SolverStats, usize, usize);
+
+    fn step(solver: &Solver, result: SolveResult) -> Step {
+        (
+            result,
+            solver.stats(),
+            solver.num_clauses(),
+            solver.num_vars(),
+        )
+    }
+
+    /// Enumerates up to `limit` models over `inputs` the way the analyzer's
+    /// cold path does: solve, block the inputs' assignment, solve again.
+    fn enumerate(solver: &mut Solver, inputs: &[Lit], limit: usize) -> Vec<Step> {
+        let mut steps = Vec::new();
+        while steps.len() < limit {
+            let result = solver.solve();
+            let block: Option<Vec<Lit>> = result.model().map(|m| {
+                inputs
+                    .iter()
+                    .map(|&l| {
+                        if m[l.var().index()] == l.is_positive() {
+                            !l
+                        } else {
+                            l
+                        }
+                    })
+                    .collect()
+            });
+            steps.push(step(solver, result));
+            match block {
+                Some(b) if !b.is_empty() => {
+                    if !solver.add_clause(b) {
+                        break;
+                    }
+                }
+                _ => break,
+            }
+        }
+        steps
+    }
+
+    /// Loads `cnf` into an empty `solver`, solves under `assumptions` (taken
+    /// modulo the CNF's variables), then enumerates its models.
+    fn cnf_workload(solver: &mut Solver, cnf: &Cnf, assumptions: &[Lit]) -> Vec<Step> {
+        let n = cnf.num_vars();
+        let vars: Vec<Var> = (0..n).map(|_| solver.new_var()).collect();
+        for c in cnf.clauses() {
+            solver.add_clause(c.iter().copied());
+        }
+        let assumed: Vec<Lit> = assumptions
+            .iter()
+            .map(|a| Lit::new(Var(a.var().0 % n), a.is_positive()))
+            .collect();
+        let result = solver.solve_with_assumptions(&assumed);
+        let mut steps = vec![step(solver, result)];
+        let inputs: Vec<Lit> = vars.iter().map(|v| v.positive()).collect();
+        steps.extend(enumerate(solver, &inputs, 6));
+        steps
+    }
+
+    /// Encodes a random circuit and enumerates its input assignments.
+    fn circuit_workload(solver: &mut Solver, inputs: u32, gates: &[Gate]) -> Vec<Step> {
+        let (circuit, root) = build_circuit(inputs, gates);
+        let input_lits = circuit.encode(root, solver);
+        enumerate(solver, &input_lits, 8)
+    }
+
+    fn assumptions() -> impl Strategy<Value = Vec<Lit>> {
+        proptest::collection::vec((0u32..8, any::<bool>()), 0..=3).prop_map(|raw| {
+            raw.into_iter()
+                .map(|(v, pos)| Lit::new(Var(v), pos))
+                .collect()
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A solver cleared after any earlier CNF workload replays a later
+        /// one exactly as a fresh solver does: same results and models,
+        /// same counters, same clause and variable counts at every step.
+        #[test]
+        fn cleared_solver_replays_cnfs_like_a_fresh_one(
+            earlier in arb_cnf(),
+            earlier_assumptions in assumptions(),
+            later in arb_cnf(),
+            later_assumptions in assumptions(),
+        ) {
+            let mut reused = Solver::new();
+            cnf_workload(&mut reused, &earlier, &earlier_assumptions);
+            reused.clear();
+            prop_assert_eq!(
+                (reused.stats(), reused.num_clauses(), reused.num_vars()),
+                (SolverStats::default(), 0, 0)
+            );
+            let replayed = cnf_workload(&mut reused, &later, &later_assumptions);
+            let fresh = cnf_workload(&mut Solver::new(), &later, &later_assumptions);
+            prop_assert_eq!(replayed, fresh);
+        }
+
+        /// The same over Tseitin-encoded circuits enumerated with blocking
+        /// clauses, the analyzer's cold path, after earlier circuits and a
+        /// CNF solved under assumptions.
+        #[test]
+        fn cleared_solver_replays_circuits_like_a_fresh_one(
+            earlier in arb_circuit(),
+            earlier_cnf in arb_cnf(),
+            earlier_assumptions in assumptions(),
+            later in arb_circuit(),
+        ) {
+            let mut reused = Solver::new();
+            circuit_workload(&mut reused, earlier.0, &earlier.1);
+            reused.clear();
+            cnf_workload(&mut reused, &earlier_cnf, &earlier_assumptions);
+            reused.clear();
+            let replayed = circuit_workload(&mut reused, later.0, &later.1);
+            let fresh = circuit_workload(&mut Solver::new(), later.0, &later.1);
+            prop_assert_eq!(replayed, fresh);
+        }
 
         /// CDCL agrees with brute force on random small CNFs, and when SAT
         /// the returned model satisfies the formula.

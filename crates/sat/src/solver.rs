@@ -7,6 +7,14 @@
 //! μAlloy translations solved in this workspace are small (thousands of
 //! variables) and keeping all learnt clauses is faster than managing a
 //! reduction schedule at that scale.
+//!
+//! Every attached clause, original or learnt, lives in one append-only
+//! literal arena: a clause is a start offset into it, and a clause
+//! reference is the clause's index. Since no clause is ever deleted the
+//! arena only grows, and attaching a clause allocates nothing beyond the
+//! arena's own growth. [`Solver::clear`] empties the solver back to the
+//! state of [`Solver::new`] but keeps its allocations, so a solver reused
+//! for many small formulas stops allocating once it has seen the largest.
 
 use crate::cnf::{Cnf, Lit, Var};
 use crate::stats::{self, SolverStats};
@@ -42,12 +50,8 @@ enum LBool {
     Undef,
 }
 
+/// Index of an attached clause.
 type ClauseRef = u32;
-
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-}
 
 #[derive(Debug, Clone, Copy)]
 struct Watcher {
@@ -74,10 +78,16 @@ struct Watcher {
 /// ```
 #[derive(Debug)]
 pub struct Solver {
-    clauses: Vec<Clause>,
-    watches: Vec<Vec<Watcher>>, // indexed by Lit::index()
-    assign: Vec<LBool>,         // indexed by Var::index()
-    phase: Vec<bool>,           // saved phases
+    /// The literals of every attached clause, back to back in attach order.
+    arena: Vec<Lit>,
+    /// Where each clause starts in `arena`; it ends where the next starts.
+    clause_start: Vec<usize>,
+    /// Indexed by `Lit::index()`. After [`Solver::clear`] the lists of
+    /// earlier variables stay allocated (and empty) for `new_var` to reuse,
+    /// so only the first `2 * num_vars()` lists belong to the formula.
+    watches: Vec<Vec<Watcher>>,
+    assign: Vec<LBool>, // indexed by Var::index()
+    phase: Vec<bool>,   // saved phases
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     reason: Vec<Option<ClauseRef>>,
@@ -111,7 +121,8 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Solver {
         Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            clause_start: Vec::new(),
             watches: Vec::new(),
             assign: Vec::new(),
             phase: Vec::new(),
@@ -147,6 +158,41 @@ impl Solver {
         s
     }
 
+    /// Empties the solver back to the state of [`Solver::new`]: no
+    /// variables, no clauses, no assignments and every counter at zero.
+    ///
+    /// Unlike a fresh solver it keeps its allocations, the clause arena,
+    /// the per-variable vectors and each variable's pair of watch lists,
+    /// so re-encoding a formula of a similar size allocates nothing. A
+    /// cleared solver answers every later call exactly as a fresh one.
+    pub fn clear(&mut self) {
+        fn emptied<T>(v: &mut Vec<T>) -> Vec<T> {
+            let mut v = std::mem::take(v);
+            v.clear();
+            v
+        }
+        let mut watches = std::mem::take(&mut self.watches);
+        watches.iter_mut().for_each(Vec::clear);
+        // Every field not named here takes its value from `Solver::new`.
+        *self = Solver {
+            arena: emptied(&mut self.arena),
+            clause_start: emptied(&mut self.clause_start),
+            watches,
+            assign: emptied(&mut self.assign),
+            phase: emptied(&mut self.phase),
+            trail: emptied(&mut self.trail),
+            trail_lim: emptied(&mut self.trail_lim),
+            reason: emptied(&mut self.reason),
+            level: emptied(&mut self.level),
+            activity: emptied(&mut self.activity),
+            heap: emptied(&mut self.heap),
+            heap_index: emptied(&mut self.heap_index),
+            seen: emptied(&mut self.seen),
+            clause_buf: emptied(&mut self.clause_buf),
+            ..Solver::new()
+        };
+    }
+
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.assign.len() as u32);
@@ -156,8 +202,13 @@ impl Solver {
         self.level.push(0);
         self.activity.push(0.0);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        // Reuse the pair of watch lists a cleared solver kept, if any.
+        if self.watches.len() == v.positive().index() {
+            self.watches.push(Vec::new());
+            self.watches.push(Vec::new());
+        }
+        debug_assert!(self.watches[v.positive().index()].is_empty());
+        debug_assert!(self.watches[v.negative().index()].is_empty());
         self.heap_index.push(HEAP_ABSENT);
         self.heap_insert(v);
         v
@@ -197,7 +248,7 @@ impl Solver {
     /// Incremental sessions use this to measure clause retention across
     /// solves.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.clause_start.len()
     }
 
     /// A snapshot of all statistics counters (with `solves` left at 0 —
@@ -217,8 +268,8 @@ impl Solver {
     ///
     /// Tautologies are silently dropped and duplicate literals removed. The
     /// solver must be at decision level 0 (which it always is between
-    /// `solve` calls). The clause is filtered in a reused buffer: the only
-    /// allocation is the stored clause's own.
+    /// `solve` calls). The clause is filtered in a reused buffer and stored
+    /// in the clause arena, so nothing is allocated for it alone.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) -> bool {
         if !self.ok {
             return false;
@@ -265,15 +316,17 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach_clause(clause.to_vec());
+                self.attach_clause(clause);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>) -> ClauseRef {
+    /// Copies `lits` to the end of the clause arena and watches its first
+    /// two literals.
+    fn attach_clause(&mut self, lits: &[Lit]) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        let cref = self.clauses.len() as ClauseRef;
+        let cref = self.clause_start.len() as ClauseRef;
         let w0 = Watcher {
             clause: cref,
             blocker: lits[1],
@@ -284,8 +337,20 @@ impl Solver {
         };
         self.watches[(!lits[0]).index()].push(w0);
         self.watches[(!lits[1]).index()].push(w1);
-        self.clauses.push(Clause { lits });
+        self.clause_start.push(self.arena.len());
+        self.arena.extend_from_slice(lits);
         cref
+    }
+
+    /// The arena range holding clause `cref`'s literals.
+    fn clause_range(&self, cref: ClauseRef) -> std::ops::Range<usize> {
+        let c = cref as usize;
+        let end = self
+            .clause_start
+            .get(c + 1)
+            .copied()
+            .unwrap_or(self.arena.len());
+        self.clause_start[c]..end
     }
 
     fn value(&self, l: Lit) -> LBool {
@@ -349,13 +414,14 @@ impl Solver {
                 }
                 let cref = w.clause;
                 // Normalize so lits[0] is the other watched literal.
-                let (first, len) = {
-                    let c = &mut self.clauses[cref as usize];
-                    if c.lits[0] == !p {
-                        c.lits.swap(0, 1);
+                let range = self.clause_range(cref);
+                let first = {
+                    let c = &mut self.arena[range.clone()];
+                    if c[0] == !p {
+                        c.swap(0, 1);
                     }
-                    debug_assert_eq!(c.lits[1], !p);
-                    (c.lits[0], c.lits.len())
+                    debug_assert_eq!(c[1], !p);
+                    c[0]
                 };
                 if first != w.blocker && self.value(first) == LBool::True {
                     ws[j] = Watcher {
@@ -366,10 +432,10 @@ impl Solver {
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in 2..len {
-                    let lk = self.clauses[cref as usize].lits[k];
+                for k in range.start + 2..range.end {
+                    let lk = self.arena[k];
                     if self.value(lk) != LBool::False {
-                        self.clauses[cref as usize].lits.swap(1, k);
+                        self.arena.swap(range.start + 1, k);
                         self.watches[(!lk).index()].push(Watcher {
                             clause: cref,
                             blocker: first,
@@ -501,9 +567,9 @@ impl Solver {
         let mut confl = Some(confl);
         loop {
             let cref = confl.expect("conflict clause must exist during analysis");
-            let start = usize::from(p.is_some());
-            for k in start..self.clauses[cref as usize].lits.len() {
-                let q = self.clauses[cref as usize].lits[k];
+            let range = self.clause_range(cref);
+            for k in range.start + usize::from(p.is_some())..range.end {
+                let q = self.arena[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -644,7 +710,7 @@ impl Solver {
                         }
                     }
                 } else {
-                    let cref = self.attach_clause(learnt.clone());
+                    let cref = self.attach_clause(&learnt);
                     if self.value(learnt[0]) == LBool::Undef {
                         self.unchecked_enqueue(learnt[0], Some(cref));
                     }
@@ -979,13 +1045,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn conflicts_learn_clauses_and_hard_instances_restart() {
-        // Pigeonhole 7-into-6: plenty of conflicts, enough to trip the
-        // 64-conflict geometric restart schedule.
-        let mut s = Solver::new();
-        let p: Vec<Vec<Var>> = (0..7)
-            .map(|_| (0..6).map(|_| s.new_var()).collect())
+    /// Adds pigeonhole `pigeons`-into-`holes` to `s`.
+    fn pigeonhole(s: &mut Solver, pigeons: usize, holes: usize) {
+        let p: Vec<Vec<Var>> = (0..pigeons)
+            .map(|_| (0..holes).map(|_| s.new_var()).collect())
             .collect();
         for row in &p {
             s.add_clause(row.iter().map(|v| v.positive()));
@@ -997,6 +1060,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn conflicts_learn_clauses_and_hard_instances_restart() {
+        // Pigeonhole 7-into-6: plenty of conflicts, enough to trip the
+        // 64-conflict geometric restart schedule.
+        let mut s = Solver::new();
+        pigeonhole(&mut s, 7, 6);
         assert_eq!(s.solve(), SolveResult::Unsat);
         assert!(s.num_conflicts() > 64, "conflicts: {}", s.num_conflicts());
         assert!(s.num_learned_clauses() > 0);
@@ -1005,5 +1076,32 @@ mod tests {
             "at most one learnt clause per conflict"
         );
         assert!(s.num_restarts() > 0, "restart schedule never fired");
+    }
+
+    #[test]
+    fn clear_leaves_a_fresh_solver_that_keeps_its_allocations() {
+        // After a search with learnt clauses, restarts and a root-level
+        // UNSAT verdict, every field but the kept watch lists prints as a
+        // fresh solver's; the watch lists are all empty.
+        let mut s = Solver::new();
+        pigeonhole(&mut s, 7, 6);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        let (lits, vars) = (s.arena.len(), s.num_vars());
+        s.clear();
+        assert!(s.arena.capacity() >= lits && s.assign.capacity() >= vars);
+        assert_eq!(s.watches.len(), 2 * vars);
+        assert!(s.watches.iter().all(Vec::is_empty));
+        let kept = std::mem::take(&mut s.watches);
+        assert_eq!(format!("{s:?}"), format!("{:?}", Solver::new()));
+        // The kept pairs serve the next formula's variables, and it solves
+        // as on a fresh solver.
+        s.watches = kept;
+        let mut fresh = Solver::new();
+        pigeonhole(&mut s, 4, 4);
+        pigeonhole(&mut fresh, 4, 4);
+        assert_eq!(s.watches.len(), 2 * vars);
+        assert_eq!(s.solve(), fresh.solve());
+        assert_eq!(s.stats(), fresh.stats());
+        assert_eq!(s.num_clauses(), fresh.num_clauses());
     }
 }

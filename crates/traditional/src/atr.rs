@@ -11,14 +11,14 @@
 //! The evidence is gathered once per run: up to `cache_per_command`
 //! counterexamples of each failing check and the instance of each passing
 //! run. Each suspicious site's edits (the mutants inside its span, then the
-//! template replacements, then the synthesis mutations) are streamed. Each
-//! edit is keyed by an incremental rehash of the faulty spec and skipped
-//! when already seen. It is then screened on the faulty spec's ground
-//! verdicts, cached once per run, with only the formulas the edit reaches
-//! re-elaborated and re-evaluated. Only a survivor is built and checked for
-//! well-formedness. A strong one is validated at once, weak ones after the
-//! site's last edit, so the oracle sees the site's strong candidates in
-//! order, then its weak ones.
+//! template replacements, then the template strengthenings) are streamed.
+//! Each edit is keyed by an incremental rehash of the faulty spec and
+//! skipped when already seen. It is then screened on the faulty spec's
+//! ground verdicts, cached once per run, with only the formulas the edit
+//! reaches re-elaborated and re-evaluated. Only a survivor is built and
+//! checked for well-formedness. A strong one is validated at once, weak ones
+//! after the site's last edit, so the oracle sees the site's strong
+//! candidates in order, then its weak ones.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -167,7 +167,7 @@ pub(crate) fn reference_screen(
 // ATR's predefined repair templates live in
 // [`specrepair_mutation::synthesis`], shared with the synthetic LLM (which
 // models the same synthesis capability); see that module for the grammar.
-use specrepair_mutation::synthesis::{synthesis_mutations, template_formulas};
+use specrepair_mutation::synthesis::{conjoin_template, template_formulas};
 
 impl RepairTechnique for Atr {
     fn name(&self) -> &str {
@@ -236,18 +236,26 @@ impl RepairTechnique for Atr {
                 .map(|m| (m.site, Cow::Borrowed(&m.repl)))
                 .collect();
             // (b) whole-constraint template replacements and template
-            // strengthenings (conjunct additions) at the site.
-            if let Some(NodeRepl::Formula(_)) = node_at(&ctx.faulty, site.id) {
-                let cap = self.max_templates_per_site / 2;
+            // strengthenings (conjunct additions) at the site: every
+            // template replaces the constraint, then, as in
+            // `synthesis_mutations`, every odd-indexed one is conjoined.
+            if let Some(NodeRepl::Formula(existing)) = node_at(&ctx.faulty, site.id) {
+                let templates = template_formulas(&vocab, site, self.max_templates_per_site / 2);
+                let conjoins: Vec<Formula> = if site.is_formula {
+                    templates
+                        .iter()
+                        .skip(1)
+                        .step_by(2)
+                        .map(|t| conjoin_template(&existing, t))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
                 edits.extend(
-                    template_formulas(&vocab, site, cap)
+                    templates
                         .into_iter()
-                        .map(|tf| (site.id, Cow::Owned(NodeRepl::Formula(tf)))),
-                );
-                edits.extend(
-                    synthesis_mutations(&ctx.faulty, &vocab, std::slice::from_ref(site), cap)
-                        .into_iter()
-                        .map(|m| (m.site, Cow::Owned(m.repl))),
+                        .chain(conjoins)
+                        .map(|f| (site.id, Cow::Owned(NodeRepl::Formula(f)))),
                 );
             }
             // Each edit is a single-node rewrite of the faulty spec: key it
@@ -300,6 +308,7 @@ mod tests {
     use super::*;
     use mualloy_analyzer::Analyzer;
     use specrepair_core::RepairBudget;
+    use specrepair_mutation::synthesis::synthesis_mutations;
 
     fn ctx(src: &str) -> RepairContext {
         RepairContext::from_source(src, RepairBudget::default()).unwrap()

@@ -22,25 +22,36 @@
 //! # The edit space
 //!
 //! A proposal samples from the prompt's *edit space*: the parsed
-//! specification and every operator and synthesis mutation of it. The edit
-//! space is a pure function of the prompt text and holds no RNG state; every
-//! draw comes after it is built. A model builds it once per distinct source
-//! and keeps the last one, so the drafts and rounds of one repair (whose
-//! prompts all carry the same faulty source) enumerate it once, and
-//! completions and the RNG stream are the ones a fresh model would give.
+//! specification and every operator and synthesis mutation of it, in the
+//! order [`MutationEngine::all_mutations`] and
+//! [`synthesis_mutations`](specrepair_mutation::synthesis_mutations) list
+//! them. The space keeps each mutation's site, span and kind only; a draw
+//! picks an index and builds that one mutation's payload and description.
+//! The descriptions fix-hint matching compares are built the first time a
+//! fix hint is adopted, then kept with the space. The stacked second edit
+//! counts the candidate's operator mutations and builds only the one its
+//! draw picks. The edit space is a pure function of the prompt text and
+//! holds no RNG state; every draw comes after it is built. A model builds it
+//! once per distinct source and keeps the last one, so the drafts and rounds
+//! of one repair (whose prompts all carry the same faulty source) enumerate
+//! it once, and completions and the RNG stream are the ones a fresh model
+//! would give.
 //! [`FaultyLm`](crate::FaultyLm)'s `Truncated` path still replays the clean
 //! stream: it runs the model on a clone of the RNG, and the memo it may fill
 //! is the edit space the retry would build anyway.
 
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use mualloy_syntax::ast::*;
-use mualloy_syntax::walk::{replace_node, NodeId, NodeRepl};
+use mualloy_syntax::walk::{node_at, replace_node, NodeId, NodeRepl, NodeSite};
 use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
-use specrepair_mutation::{synthesis_mutations, Mutation, MutationEngine, Vocabulary};
+use specrepair_mutation::synthesis::{
+    template_count, template_description, template_kind, template_mutation,
+};
+use specrepair_mutation::{template_formulas, Mutation, MutationEngine, MutationKind, Vocabulary};
 
 use crate::prompt::{invert_fix_description, Prompt};
 
@@ -84,31 +95,115 @@ pub struct Guidance {
     pub restrict_top: Option<usize>,
 }
 
+/// Templates the model synthesizes per formula site.
+const TEMPLATES_PER_SITE: usize = 24;
+
 /// What a proposal samples from: the prompt's parsed specification (inside
-/// its engine) and its operator and synthesis mutations, in order.
+/// its engine) and its operator and synthesis mutations, in order, each
+/// kept as its site, span and kind until it is drawn.
 struct EditSpace {
     engine: MutationEngine,
-    mutations: Vec<Mutation>,
+    vocab: Vocabulary,
+    /// The formula sites at depth ≤ 1, where the model synthesizes
+    /// constraints, each with its number of templates.
+    synth_sites: Vec<(NodeSite, usize)>,
+    /// Every edit in draw order: the engine's mutations, then each
+    /// synthesis site's template mutations.
+    edits: Vec<EditSlot>,
+    /// How many of `edits` are the engine's.
+    operators: usize,
+    /// Every edit's description, in `edits` order: built the first time a
+    /// fix hint is adopted, then kept.
+    descriptions: OnceLock<Vec<String>>,
+}
+
+/// Where one edit of the space applies and what kind it is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct EditSlot {
+    site: NodeId,
+    span: Span,
+    kind: MutationKind,
 }
 
 impl EditSpace {
-    /// Parses `source` and enumerates its edits; `None` when it does not
-    /// parse.
+    /// Parses `source` and lists its edits; `None` when it does not parse.
     fn build(source: &str) -> Option<EditSpace> {
         let spec = mualloy_syntax::parse_spec(source).ok()?;
         let engine = MutationEngine::new(&spec);
-        let mut mutations = engine.all_mutations();
+        let mut edits: Vec<EditSlot> = engine
+            .mutation_kinds()
+            .into_iter()
+            .map(|(site, kind)| EditSlot {
+                site: site.id,
+                span: site.span,
+                kind,
+            })
+            .collect();
+        let operators = edits.len();
         // The model can also synthesize fresh constraints (replace or
         // strengthen whole formulas) — the capability the paper credits for
         // LLM success on faults that defeat operator-level search.
         let vocab = Vocabulary::of(&spec);
-        let synth_sites: Vec<_> = engine
+        let synth_sites: Vec<(NodeSite, usize)> = engine
             .sites()
             .filter(|s| s.is_formula && s.depth <= 1)
-            .cloned()
+            .map(|s| (s.clone(), template_count(&vocab, s, TEMPLATES_PER_SITE)))
             .collect();
-        mutations.extend(synthesis_mutations(&spec, &vocab, &synth_sites, 24));
-        Some(EditSpace { engine, mutations })
+        for (site, templates) in &synth_sites {
+            edits.extend((0..*templates).map(|i| EditSlot {
+                site: site.id,
+                span: site.span,
+                kind: template_kind(i),
+            }));
+        }
+        Some(EditSpace {
+            engine,
+            vocab,
+            synth_sites,
+            edits,
+            operators,
+            descriptions: OnceLock::new(),
+        })
+    }
+
+    /// Builds edit `i`: the one mutation a draw needs.
+    fn mutation(&self, i: usize) -> Option<Mutation> {
+        let Some(mut i) = i.checked_sub(self.operators) else {
+            return self.engine.nth_mutation(i, |_| true);
+        };
+        for (site, templates) in &self.synth_sites {
+            if i < *templates {
+                let Some(NodeRepl::Formula(existing)) = node_at(self.engine.spec(), site.id) else {
+                    return None;
+                };
+                let template = template_formulas(&self.vocab, site, i + 1).pop()?;
+                return Some(template_mutation(&existing, site, i, template));
+            }
+            i -= templates;
+        }
+        None
+    }
+
+    /// Every edit's description, in `edits` order.
+    fn descriptions(&self) -> &[String] {
+        self.descriptions.get_or_init(|| {
+            let mut out: Vec<String> = self
+                .engine
+                .all_mutations()
+                .into_iter()
+                .map(|m| m.description)
+                .collect();
+            for (site, templates) in &self.synth_sites {
+                let formulas = template_formulas(&self.vocab, site, *templates);
+                out.extend(
+                    formulas
+                        .iter()
+                        .enumerate()
+                        .map(|(i, t)| template_description(i, t)),
+                );
+            }
+            out
+        })
     }
 }
 
@@ -179,27 +274,28 @@ impl SyntheticLm {
         rng: &mut ChaCha8Rng,
     ) -> Option<String> {
         let space = self.edit_space(&prompt.source)?;
-        let mutations = &space.mutations;
-        if mutations.is_empty() {
+        if space.edits.is_empty() {
             return Some(prompt.source.clone());
         }
 
         // 1. Choose the edit. A fix description adopted verbatim is applied
         // alone — the model "knows" the answer and does not improvise.
-        let from_fix_hint = self.fix_hint_edit(prompt, mutations, rng);
+        let from_fix_hint = self.fix_hint_edit(prompt, &space, rng);
         let adopted_fix = from_fix_hint.is_some();
         let chosen = from_fix_hint
-            .or_else(|| self.location_guided_edit(prompt, mutations, rng))
-            .or_else(|| self.guidance_weighted_edit(guidance, mutations, rng))
-            .or_else(|| mutations.choose(rng).cloned())?;
-        let mut candidate = space.engine.apply(&chosen)?;
+            .or_else(|| self.location_guided_edit(prompt, &space.edits, rng))
+            .or_else(|| self.guidance_weighted_edit(guidance, &space.edits, rng))
+            .unwrap_or_else(|| rng.next_u64() as usize % space.edits.len());
+        let mut candidate = space.engine.apply(&space.mutation(chosen)?)?;
 
-        // 2. Possibly stack a second edit.
+        // 2. Possibly stack a second edit: a uniform pick over the
+        // candidate's operator mutations, with only the picked one built.
         if !adopted_fix && rng.gen_bool(self.config.multi_edit_prob) {
             let engine2 = MutationEngine::new(&candidate);
-            let more = engine2.all_mutations();
-            if let Some(m2) = more.choose(rng) {
-                if let Some(c2) = engine2.apply(m2) {
+            let count = engine2.count_mutations(|_| true);
+            if count > 0 {
+                let m2 = engine2.nth_mutation(rng.next_u64() as usize % count, |_| true);
+                if let Some(c2) = m2.and_then(|m2| engine2.apply(&m2)) {
                     candidate = c2;
                 }
             }
@@ -221,54 +317,56 @@ impl SyntheticLm {
     }
 
     /// Applies a fix description verbatim when one matches an enumerable
-    /// mutation.
+    /// mutation; returns the matching edit's index.
     fn fix_hint_edit(
         &self,
         prompt: &Prompt,
-        mutations: &[Mutation],
+        space: &EditSpace,
         rng: &mut ChaCha8Rng,
-    ) -> Option<Mutation> {
+    ) -> Option<usize> {
         if prompt.hints.fix.is_empty() || !rng.gen_bool(self.config.fix_adoption) {
             return None;
         }
+        let descriptions = space.descriptions();
         for hint in &prompt.hints.fix {
             // Hints arrive already inverted by the prompt builder; accept
             // either orientation to be safe.
             let wanted_a = hint.clone();
             let wanted_b = invert_fix_description(hint);
-            let matching: Vec<&Mutation> = mutations
-                .iter()
-                .filter(|m| m.description == wanted_a || m.description == wanted_b)
+            let matching: Vec<usize> = (0..descriptions.len())
+                .filter(|&i| descriptions[i] == wanted_a || descriptions[i] == wanted_b)
                 .collect();
             // Prefer matches inside hinted locations.
-            let located: Vec<&&Mutation> = matching
+            let located: Vec<usize> = matching
                 .iter()
-                .filter(|m| {
+                .copied()
+                .filter(|&i| {
+                    let span = space.edits[i].span;
                     prompt
                         .hints
                         .loc
                         .iter()
-                        .any(|s| m.span.start < s.end && s.start < m.span.end)
+                        .any(|s| span.start < s.end && s.start < span.end)
                 })
                 .collect();
-            if let Some(m) = located.choose(rng) {
-                return Some((***m).clone());
+            if let Some(&i) = located.choose(rng) {
+                return Some(i);
             }
-            if let Some(m) = matching.choose(rng) {
-                return Some((**m).clone());
+            if let Some(&i) = matching.choose(rng) {
+                return Some(i);
             }
         }
         None
     }
 
     /// Samples an edit at the hinted sites (persistent node ids first,
-    /// byte-span overlap as the fallback anchor).
+    /// byte-span overlap as the fallback anchor); returns its index.
     fn location_guided_edit(
         &self,
         prompt: &Prompt,
-        mutations: &[Mutation],
+        edits: &[EditSlot],
         rng: &mut ChaCha8Rng,
-    ) -> Option<Mutation> {
+    ) -> Option<usize> {
         if (prompt.hints.loc.is_empty() && prompt.hints.sites.is_empty())
             || !rng.gen_bool(self.config.hint_fidelity)
         {
@@ -279,34 +377,31 @@ impl SyntheticLm {
         // hint addresses the exact node (or one of its descendants) the
         // localizer ranked; span overlap is the legacy anchor for hints
         // that arrived as raw byte ranges.
-        let at_site: Vec<&Mutation> = mutations
-            .iter()
-            .filter(|m| !m.kind.is_synthesis() && prompt.hints.sites.contains(&m.site))
-            .collect();
-        if let Some(m) = at_site.choose(rng) {
-            return Some((*m).clone());
+        let at_site = indices(edits, |m| {
+            !m.kind.is_synthesis() && prompt.hints.sites.contains(&m.site)
+        });
+        if let Some(&i) = at_site.choose(rng) {
+            return Some(i);
         }
-        let inside: Vec<&Mutation> = mutations
-            .iter()
-            .filter(|m| {
-                !m.kind.is_synthesis()
-                    && prompt
-                        .hints
-                        .loc
-                        .iter()
-                        .any(|s| m.span.start < s.end && s.start < m.span.end)
-            })
-            .collect();
-        inside.choose(rng).map(|m| (*m).clone())
+        let inside = indices(edits, |m| {
+            !m.kind.is_synthesis()
+                && prompt
+                    .hints
+                    .loc
+                    .iter()
+                    .any(|s| m.span.start < s.end && s.start < m.span.end)
+        });
+        inside.choose(rng).copied()
     }
 
-    /// Samples an edit according to feedback-derived site weights.
+    /// Samples an edit according to feedback-derived site weights; returns
+    /// its index.
     fn guidance_weighted_edit(
         &self,
         guidance: Option<&Guidance>,
-        mutations: &[Mutation],
+        edits: &[EditSlot],
         rng: &mut ChaCha8Rng,
-    ) -> Option<Mutation> {
+    ) -> Option<usize> {
         let g = guidance?;
         if g.site_weights.is_empty() {
             return None;
@@ -322,18 +417,18 @@ impl SyntheticLm {
         for (site, w) in &ranked {
             roll -= w.max(0.01);
             if roll <= 0.0 {
-                let at_site: Vec<&Mutation> =
-                    mutations.iter().filter(|m| m.site == *site).collect();
-                if let Some(m) = at_site.choose(rng) {
-                    return Some((*m).clone());
-                }
-                // The weighted site has no enumerable edits; widen to any
-                // mutation *inside* its span.
-                return None;
+                // A weighted site with no edits yields nothing here, and
+                // the caller draws uniformly over the whole edit space.
+                return indices(edits, |m| m.site == *site).choose(rng).copied();
             }
         }
         None
     }
+}
+
+/// The indices of the edits `keep` accepts, in order.
+fn indices(edits: &[EditSlot], keep: impl Fn(&EditSlot) -> bool) -> Vec<usize> {
+    (0..edits.len()).filter(|&i| keep(&edits[i])).collect()
 }
 
 /// Applies one random semantics-preserving rewrite somewhere in the spec.
@@ -660,6 +755,42 @@ mod tests {
     }
 
     #[test]
+    fn edit_space_builds_what_the_full_list_holds() {
+        for source in [FAULTY, DEAD, NO_SITES] {
+            let spec = mualloy_syntax::parse_spec(source).unwrap();
+            let engine = MutationEngine::new(&spec);
+            let sites: Vec<NodeSite> = engine
+                .sites()
+                .filter(|s| s.is_formula && s.depth <= 1)
+                .cloned()
+                .collect();
+            let mut full = engine.all_mutations();
+            full.extend(specrepair_mutation::synthesis_mutations(
+                &spec,
+                &Vocabulary::of(&spec),
+                &sites,
+                TEMPLATES_PER_SITE,
+            ));
+            let space = EditSpace::build(source).unwrap();
+            let slots: Vec<EditSlot> = full
+                .iter()
+                .map(|m| EditSlot {
+                    site: m.site,
+                    span: m.span,
+                    kind: m.kind,
+                })
+                .collect();
+            assert_eq!(space.edits, slots, "{source}");
+            for (i, m) in full.iter().enumerate() {
+                assert_eq!(space.mutation(i).as_ref(), Some(m), "{source} edit {i}");
+            }
+            assert_eq!(space.mutation(full.len()), None);
+            let descriptions: Vec<&str> = full.iter().map(|m| m.description.as_str()).collect();
+            assert_eq!(space.descriptions(), descriptions, "{source}");
+        }
+    }
+
+    #[test]
     fn edit_space_is_built_once_per_source() {
         let lm = SyntheticLm::default();
         let hints = faulty_hints();
@@ -681,7 +812,7 @@ mod tests {
         propose(FAULTY, &hints[0]);
         let again = memoized(&lm).unwrap().1.unwrap();
         assert!(!Arc::ptr_eq(&first, &again));
-        assert_eq!(first.mutations, again.mutations);
+        assert_eq!(first.edits, again.edits);
         // An unparsable source is memoized as having no edit space.
         assert!(propose("sig {", &hints[0]).is_none());
         let (key, none) = memoized(&lm).unwrap();

@@ -99,7 +99,8 @@ impl SingleRound {
         };
         let mut rng = self.rng_for(ctx);
         let (drafts, full_check) = draft_policy(self.setting);
-        let mut last_text: Option<String> = None;
+        // The last draft's text and parse, for the fallback below.
+        let mut last_draft: Option<(String, Option<Spec>)> = None;
         let mut explored = 0usize;
         // Why the model stopped producing drafts, when it did: the model
         // itself ran out of proposals vs. the transport gave up. These map
@@ -126,23 +127,24 @@ impl SingleRound {
                     break;
                 }
             };
-            last_text = Some(text.clone());
-            let Ok(candidate) = mualloy_syntax::parse_spec(&text) else {
+            let candidate = mualloy_syntax::parse_spec(&text).ok();
+            let Some(spec) = &candidate else {
+                last_draft = Some((text, candidate));
                 continue;
             };
             explored += 1;
             let emit = if full_check {
                 // The model mentally verifies the whole specification.
-                ctx.repair_is_valid(&candidate)
+                ctx.repair_is_valid(spec)
             } else if let Some(assert_name) = &hints.pass {
                 // The model only verifies the assertion named in the prompt.
-                pass_holds(ctx.oracle.service(), &candidate, assert_name)
+                pass_holds(ctx.oracle.service(), spec, assert_name)
             } else {
                 // Pass-style setting without a usable pass hint: first draft.
                 true
             };
             if emit {
-                let success = ctx.repair_is_valid(&candidate);
+                let success = ctx.repair_is_valid(spec);
                 let reason = if success {
                     OutcomeReason::Repaired
                 } else {
@@ -152,12 +154,13 @@ impl SingleRound {
                     technique: self.setting.label().to_string(),
                     success,
                     reason,
-                    candidate: Some(candidate),
+                    candidate,
                     candidate_source: Some(text),
                     candidates_explored: explored,
                     rounds: 1,
                 };
             }
+            last_draft = Some((text, candidate));
         }
         let failure_reason = if ctx.cancelled() {
             OutcomeReason::Cancelled
@@ -171,9 +174,8 @@ impl SingleRound {
         // No draft survived self-verification (or the model glitched or the
         // transport died): emit the last draft anyway — a partial outcome,
         // as a real model client would.
-        match last_text {
-            Some(text) => {
-                let candidate = mualloy_syntax::parse_spec(&text).ok();
+        match last_draft {
+            Some((text, candidate)) => {
                 let success = candidate
                     .as_ref()
                     .map(|c| ctx.repair_is_valid(c))

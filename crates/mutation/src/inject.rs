@@ -12,11 +12,10 @@ use mualloy_syntax::ast::Formula;
 use mualloy_syntax::walk::{collect_sites, replace_node, strip_spec_spans, NodeRepl, OwnerKind};
 use mualloy_syntax::{Span, Spec};
 use rand::seq::SliceRandom;
-use rand::Rng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::ops::{Mutation, MutationEngine, MutationKind};
+use crate::ops::{MutationEngine, MutationKind};
 
 /// A successfully injected fault.
 #[derive(Debug, Clone)]
@@ -112,10 +111,6 @@ pub fn inject_fault_with(
     None
 }
 
-fn choose<'a>(mutations: &'a [Mutation], rng: &mut ChaCha8Rng) -> Option<&'a Mutation> {
-    mutations.choose(rng)
-}
-
 /// Applies `n` operator-level mutations (never whole-constraint drops —
 /// those are the *hard* class handled separately).
 fn apply_operator_edits(
@@ -123,17 +118,19 @@ fn apply_operator_edits(
     n: usize,
     rng: &mut ChaCha8Rng,
 ) -> Option<(Spec, Vec<String>, Vec<Span>)> {
+    let operator = |kind| kind != MutationKind::JunctionDrop;
     let mut current = truth.clone();
     let mut edits = Vec::new();
     let mut spans = Vec::new();
     for _ in 0..n {
         let engine = MutationEngine::new(&current);
-        let mutations: Vec<Mutation> = engine
-            .all_mutations()
-            .into_iter()
-            .filter(|m| m.kind != MutationKind::JunctionDrop)
-            .collect();
-        let m = choose(&mutations, rng)?.clone();
+        // A uniform pick over the operator mutations, as `choose` draws
+        // one from their list, with only the picked one built.
+        let count = engine.count_mutations(operator);
+        if count == 0 {
+            return None;
+        }
+        let m = engine.nth_mutation(rng.next_u64() as usize % count, operator)?;
         let next = engine.apply(&m)?;
         edits.push(m.description);
         spans.push(m.span);

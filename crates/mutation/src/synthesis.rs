@@ -19,91 +19,115 @@ use mualloy_syntax::walk::{node_at, NodeRepl, NodeSite};
 use crate::ops::{Mutation, MutationKind};
 use crate::vocab::Vocabulary;
 
-/// Synthesizes atomic template formulas available at a site.
+/// Synthesizes atomic template formulas available at a site: the first
+/// `cap` of the symmetry comparisons of each binary field, then four
+/// multiplicity templates over each expression of the grammar, then three
+/// comparisons over each pair of them. Only the expressions those `cap`
+/// templates use are built.
 pub fn template_formulas(vocab: &Vocabulary, site: &NodeSite, cap: usize) -> Vec<Formula> {
     let span = Meta::synthetic();
-    let mut exprs: Vec<Expr> = Vec::new();
-    for v in &site.vars_in_scope {
-        exprs.push(Expr::ident(v.clone()));
+    // Symmetry/antisymmetry comparisons between a field and its transpose.
+    let mut out: Vec<Formula> = vocab
+        .binary_fields()
+        .flat_map(|f| {
+            let field = Expr::ident(f);
+            let transposed = Expr::unary(UnExprOp::Transpose, field.clone());
+            [
+                Formula::compare(CmpOp::Eq, field.clone(), transposed.clone()),
+                Formula::compare(CmpOp::In, field, transposed),
+            ]
+        })
+        .take(cap)
+        .collect();
+    // Multiplicity templates use the first `ceil(rest / 4)` expressions;
+    // comparisons are reached only when every expression is built.
+    let exprs = template_exprs(vocab, site, (cap - out.len()).div_ceil(MULTS.len()));
+    for e in &exprs {
+        for m in MULTS {
+            if out.len() == cap {
+                return out;
+            }
+            out.push(Formula::Mult(m, Box::new(e.clone()), span));
+        }
     }
-    for s in &vocab.sigs {
-        exprs.push(Expr::ident(s.clone()));
+    for (i, a) in exprs.iter().enumerate() {
+        for b in &exprs[i + 1..] {
+            for op in [CmpOp::In, CmpOp::NotIn, CmpOp::Eq] {
+                if out.len() == cap {
+                    return out;
+                }
+                out.push(Formula::compare(op, a.clone(), b.clone()));
+            }
+        }
     }
-    let base: Vec<Expr> = exprs.clone();
+    out
+}
+
+/// `template_formulas(vocab, site, cap).len()`, building none of them.
+pub fn template_count(vocab: &Vocabulary, site: &NodeSite, cap: usize) -> usize {
+    let base = site.vars_in_scope.len() + vocab.sigs.len();
+    let binary = vocab.binary_fields().count();
+    let ternary = vocab.fields_of_arity(3).count();
+    let exprs = base + binary * (5 + 3 * base) + ternary * base;
+    let total = 2 * binary + MULTS.len() * exprs + 3 * (exprs * exprs.saturating_sub(1) / 2);
+    total.min(cap)
+}
+
+const MULTS: [MultOp; 4] = [MultOp::Some, MultOp::No, MultOp::Lone, MultOp::One];
+
+/// The first `limit` expressions of the template grammar at `site`: the
+/// variables in scope and the signatures (the *base*), then for each field
+/// in declaration order its patterns and its joins with the base.
+fn template_exprs(vocab: &Vocabulary, site: &NodeSite, limit: usize) -> Vec<Expr> {
+    let span = Meta::synthetic();
+    let mut exprs: Vec<Expr> = site
+        .vars_in_scope
+        .iter()
+        .chain(&vocab.sigs)
+        .take(limit)
+        .map(|n| Expr::ident(n.clone()))
+        .collect();
+    let base = exprs.len();
     for (f, arity) in &vocab.fields {
+        if exprs.len() >= limit {
+            break;
+        }
         let field = Expr::ident(f.clone());
         if *arity == 2 {
             // Field-level patterns (the classic Alloy repair templates):
             // f, ^f, iden & f, iden & ^f, f & ~f.
-            exprs.push(field.clone());
-            exprs.push(Expr::unary(UnExprOp::Closure, field.clone()));
-            exprs.push(Expr::binary(
-                BinExprOp::Intersect,
-                Expr::Iden(span),
+            let closure = Expr::unary(UnExprOp::Closure, field.clone());
+            let transpose = Expr::unary(UnExprOp::Transpose, field.clone());
+            exprs.extend([
                 field.clone(),
-            ));
-            exprs.push(Expr::binary(
-                BinExprOp::Intersect,
-                Expr::Iden(span),
-                Expr::unary(UnExprOp::Closure, field.clone()),
-            ));
-            exprs.push(Expr::binary(
-                BinExprOp::Intersect,
-                field.clone(),
-                Expr::unary(UnExprOp::Transpose, field.clone()),
-            ));
-            for b in &base {
-                exprs.push(Expr::join(b.clone(), field.clone()));
-                exprs.push(Expr::join(
-                    b.clone(),
-                    Expr::unary(UnExprOp::Closure, field.clone()),
-                ));
-                exprs.push(Expr::join(
-                    b.clone(),
-                    Expr::unary(UnExprOp::Transpose, field.clone()),
-                ));
+                closure.clone(),
+                Expr::binary(BinExprOp::Intersect, Expr::Iden(span), field.clone()),
+                Expr::binary(BinExprOp::Intersect, Expr::Iden(span), closure.clone()),
+                Expr::binary(BinExprOp::Intersect, field.clone(), transpose.clone()),
+            ]);
+            for b in 0..base {
+                if exprs.len() >= limit {
+                    break;
+                }
+                let b = &exprs[b];
+                let joins = [
+                    Expr::join(b.clone(), field.clone()),
+                    Expr::join(b.clone(), closure.clone()),
+                    Expr::join(b.clone(), transpose.clone()),
+                ];
+                exprs.extend(joins);
             }
         } else if *arity == 3 {
-            for b in &base {
-                exprs.push(Expr::join(b.clone(), field.clone()));
-            }
-        }
-    }
-    // Symmetry/antisymmetry comparisons between a field and its transpose.
-    let mut symmetry = Vec::new();
-    for (f, arity) in &vocab.fields {
-        if *arity == 2 {
-            let field = Expr::ident(f.clone());
-            let transposed = Expr::unary(UnExprOp::Transpose, field.clone());
-            symmetry.push(Formula::compare(
-                CmpOp::Eq,
-                field.clone(),
-                transposed.clone(),
-            ));
-            symmetry.push(Formula::compare(CmpOp::In, field, transposed));
-        }
-    }
-    let mut out = symmetry;
-    'mults: for e in &exprs {
-        for m in [MultOp::Some, MultOp::No, MultOp::Lone, MultOp::One] {
-            out.push(Formula::Mult(m, Box::new(e.clone()), span));
-            if out.len() >= cap {
-                break 'mults;
-            }
-        }
-    }
-    'cmps: for (i, a) in exprs.iter().enumerate() {
-        for b in exprs.iter().skip(i + 1) {
-            for op in [CmpOp::In, CmpOp::NotIn, CmpOp::Eq] {
-                out.push(Formula::compare(op, a.clone(), b.clone()));
-                if out.len() >= cap {
-                    break 'cmps;
+            for b in 0..base {
+                if exprs.len() >= limit {
+                    break;
                 }
+                exprs.push(Expr::join(exprs[b].clone(), field.clone()));
             }
         }
     }
-    out.truncate(cap);
-    out
+    exprs.truncate(limit);
+    exprs
 }
 
 /// The strengthening of `existing` by `template`: `existing && template`,
@@ -136,32 +160,57 @@ pub fn synthesis_mutations(
             continue;
         };
         let templates = template_formulas(vocab, site, cap_per_site);
-        for (i, t) in templates.iter().enumerate() {
-            // Alternate replacement and conjunct-add so both shapes appear
-            // within any cap.
-            if i % 2 == 0 {
-                out.push(Mutation {
-                    site: site.id,
-                    span: site.span,
-                    repl: NodeRepl::Formula(t.clone()),
-                    kind: MutationKind::TemplateReplace,
-                    description: format!(
-                        "replace constraint with `{}`",
-                        mualloy_syntax::print_formula(t)
-                    ),
-                });
-            } else {
-                out.push(Mutation {
-                    site: site.id,
-                    span: site.span,
-                    repl: NodeRepl::Formula(conjoin_template(&existing, t)),
-                    kind: MutationKind::TemplateConjoin,
-                    description: format!("conjoin `{}`", mualloy_syntax::print_formula(t)),
-                });
-            }
-        }
+        out.extend(
+            templates
+                .into_iter()
+                .enumerate()
+                .map(|(i, t)| template_mutation(&existing, site, i, t)),
+        );
     }
     out
+}
+
+/// The synthesis mutation `index` of a formula site whose constraint is
+/// `existing`: [`synthesis_mutations`] places it at `index` among the
+/// site's mutations, and `template` is the site's template `index`.
+pub fn template_mutation(
+    existing: &Formula,
+    site: &NodeSite,
+    index: usize,
+    template: Formula,
+) -> Mutation {
+    let description = template_description(index, &template);
+    let kind = template_kind(index);
+    let repl = match kind {
+        MutationKind::TemplateConjoin => conjoin_template(existing, &template),
+        _ => template,
+    };
+    Mutation {
+        site: site.id,
+        span: site.span,
+        repl: NodeRepl::Formula(repl),
+        kind,
+        description,
+    }
+}
+
+/// The kind of [`template_mutation`] `index`: replacement and conjunct-add
+/// alternate, so both shapes appear within any cap.
+pub fn template_kind(index: usize) -> MutationKind {
+    if index.is_multiple_of(2) {
+        MutationKind::TemplateReplace
+    } else {
+        MutationKind::TemplateConjoin
+    }
+}
+
+/// The description of [`template_mutation`] `index` with `template`.
+pub fn template_description(index: usize, template: &Formula) -> String {
+    let printed = mualloy_syntax::print_formula(template);
+    match template_kind(index) {
+        MutationKind::TemplateConjoin => format!("conjoin `{printed}`"),
+        _ => format!("replace constraint with `{printed}`"),
+    }
 }
 
 #[cfg(test)]

@@ -196,9 +196,9 @@ impl PersistentCache {
             degraded: self.degraded(),
             compactions: self.compactions.load(Ordering::Relaxed),
             compaction_failures: self.compaction_failures.load(Ordering::Relaxed),
-            injected_write_errors: self.log.injected(DiskFaultKind::WriteError),
-            injected_short_writes: self.log.injected(DiskFaultKind::ShortWrite),
-            injected_bit_flips: self.log.injected(DiskFaultKind::BitFlip),
+            injected_write_errors: self.log.injected.count(DiskFaultKind::WriteError),
+            injected_short_writes: self.log.injected.count(DiskFaultKind::ShortWrite),
+            injected_bit_flips: self.log.injected.count(DiskFaultKind::BitFlip),
         }
     }
 

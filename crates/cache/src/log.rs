@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mualloy_syntax::Fingerprint;
 use parking_lot::Mutex;
 use specrepair_core::logio::{read_lines, LineLog};
-use specrepair_faults::{DiskFaultKind, DiskFaultPlan};
+use specrepair_faults::{DiskFaultKind, DiskFaultPlan, FaultCounts};
 use specrepair_trace::Phase;
 
 use crate::record;
@@ -50,8 +50,8 @@ pub struct VerdictLog {
     plan: DiskFaultPlan,
     /// Per-append fault schedule index.
     appends: AtomicU64,
-    /// Injected disk faults, per kind (`DiskFaultKind::ALL` order).
-    injected: [AtomicU64; 3],
+    /// Injected disk faults, per kind.
+    pub(crate) injected: FaultCounts<DiskFaultKind>,
     /// Lines currently in the file (valid or not).
     disk_lines: AtomicU64,
     /// Valid records currently in the file.
@@ -111,20 +111,11 @@ impl VerdictLog {
             log: Mutex::new(log),
             plan,
             appends: AtomicU64::new(0),
-            injected: Default::default(),
+            injected: FaultCounts::new(),
             disk_lines: AtomicU64::new(recovered.lines),
             disk_good: AtomicU64::new(recovered.lines - recovered.quarantined),
         };
         Ok((verdict_log, recovered))
-    }
-
-    fn count_injected(&self, kind: DiskFaultKind) {
-        self.injected[kind as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count injected so far for one kind.
-    pub fn injected(&self, kind: DiskFaultKind) -> u64 {
-        self.injected[kind as usize].load(Ordering::Relaxed)
     }
 
     /// Lines currently in the file (valid or not).
@@ -154,6 +145,9 @@ impl VerdictLog {
         if span.is_active() {
             span.attr_bool("injected", fault.is_some());
         }
+        if let Some(kind) = fault {
+            self.injected.record(kind);
+        }
         match fault {
             None => {
                 let log = self.log.lock();
@@ -162,12 +156,8 @@ impl VerdictLog {
                 self.disk_good.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
-            Some(DiskFaultKind::WriteError) => {
-                self.count_injected(DiskFaultKind::WriteError);
-                Err(io::Error::other("injected disk write error"))
-            }
+            Some(DiskFaultKind::WriteError) => Err(io::Error::other("injected disk write error")),
             Some(DiskFaultKind::ShortWrite) => {
-                self.count_injected(DiskFaultKind::ShortWrite);
                 let log = self.log.lock();
                 // Half the record lands, then the "failure"; seal the
                 // fragment so later appends stay line-framed (recovery
@@ -179,10 +169,8 @@ impl VerdictLog {
                 Err(io::Error::other("injected short write"))
             }
             Some(DiskFaultKind::BitFlip) => {
-                self.count_injected(DiskFaultKind::BitFlip);
                 let mut bytes = line.into_bytes();
-                let pos = (specrepair_faults::DiskFaultPlan::new(self.plan.seed, 1.0).seed
-                    ^ idx.wrapping_mul(0x9e37_79b9_7f4a_7c15)) as usize
+                let pos = (self.plan.seed ^ idx.wrapping_mul(0x9e37_79b9_7f4a_7c15)) as usize
                     % bytes.len();
                 bytes[pos] ^= 0x01;
                 let corrupted = String::from_utf8_lossy(&bytes).into_owned();

@@ -96,19 +96,7 @@ impl OracleHandle {
     pub fn session(&self, max_candidates: usize) -> OracleSession<'_> {
         OracleSession {
             oracle: &self.service,
-            cap: Some(max_candidates),
-            validated: 0,
-            cancel: CancelToken::none(),
-        }
-    }
-
-    /// Opens an unmetered session: validations are counted but never
-    /// refused. For techniques whose validation count is bounded elsewhere
-    /// (e.g. one validation per refinement round).
-    pub fn unmetered_session(&self) -> OracleSession<'_> {
-        OracleSession {
-            oracle: &self.service,
-            cap: None,
+            cap: max_candidates,
             validated: 0,
             cancel: CancelToken::none(),
         }
@@ -120,7 +108,7 @@ impl OracleHandle {
 #[derive(Debug)]
 pub struct OracleSession<'a> {
     oracle: &'a Oracle,
-    cap: Option<usize>,
+    cap: usize,
     validated: usize,
     cancel: CancelToken,
 }
@@ -149,7 +137,7 @@ impl<'a> OracleSession<'a> {
     /// Whether the session refuses further validations: budget spent or
     /// attempt cancelled.
     pub fn exhausted(&self) -> bool {
-        self.cap.is_some_and(|c| self.validated >= c) || self.cancelled()
+        self.validated >= self.cap || self.cancelled()
     }
 
     /// Charges one budget unit and answers whether `candidate` satisfies
@@ -237,18 +225,6 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.solver_invocations, 1);
         assert_eq!(handle.dedup_stats().hits, 1);
-    }
-
-    #[test]
-    fn unmetered_session_never_refuses() {
-        let handle = OracleHandle::fresh();
-        let spec = parse_spec(GOOD).unwrap();
-        let mut session = handle.unmetered_session();
-        for _ in 0..5 {
-            assert_eq!(session.validate(&spec), Some(true));
-        }
-        assert!(!session.exhausted());
-        assert_eq!(session.validated(), 5);
     }
 
     #[test]

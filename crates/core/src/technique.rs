@@ -1,11 +1,9 @@
 //! The repair-technique abstraction shared by every tool in the study.
 
-use std::sync::Arc;
-
 use mualloy_analyzer::Oracle;
 use mualloy_syntax::ast::{AssertDecl, Command, CommandKind, Formula};
-use mualloy_syntax::walk::{strip_formula_spans, NodeId, NodeRepl};
-use mualloy_syntax::{Fingerprint, Spec, SpecHasher};
+use mualloy_syntax::walk::strip_formula_spans;
+use mualloy_syntax::Spec;
 use serde::{Deserialize, Serialize};
 
 use crate::cancel::CancelToken;
@@ -65,26 +63,18 @@ pub struct RepairContext {
     /// their own loop checks; a fired token makes the attempt unwind with a
     /// partial outcome instead of running its budget dry.
     pub cancel: CancelToken,
-    /// Memoized Merkle hasher over the faulty spec. Techniques that build
-    /// candidates by single-node rewriting fingerprint them in
-    /// O(path + payload) via [`RepairContext::fingerprint_edit`] instead of
-    /// re-hashing the whole candidate; the fingerprint feeds the keyed
-    /// oracle queries.
-    pub hasher: Arc<SpecHasher>,
 }
 
 impl RepairContext {
     /// Builds a context from a parsed spec, rendering canonical source.
     pub fn new(faulty: Spec, budget: RepairBudget) -> RepairContext {
         let source = mualloy_syntax::print_spec(&faulty);
-        let hasher = Arc::new(SpecHasher::new(&faulty));
         RepairContext {
             faulty,
             source,
             budget,
             oracle: OracleHandle::fresh(),
             cancel: CancelToken::none(),
-            hasher,
         }
     }
 
@@ -112,20 +102,6 @@ impl RepairContext {
     pub fn with_oracle(mut self, oracle: OracleHandle) -> RepairContext {
         self.oracle = oracle;
         self
-    }
-
-    /// Canonical fingerprint of a candidate produced by rewriting the
-    /// faulty spec's node `target` with `payload`
-    /// ([`mualloy_syntax::walk::replace_node`]): the context hasher's
-    /// [`SpecHasher::fingerprint_edit`], an O(path + payload) rehash that
-    /// falls back to hashing `candidate` in full.
-    pub fn fingerprint_edit(
-        &self,
-        candidate: &Spec,
-        target: NodeId,
-        payload: &NodeRepl,
-    ) -> Fingerprint {
-        self.hasher.fingerprint_edit(candidate, target, payload)
     }
 
     /// Replaces the cancellation token (to impose a deadline or wire the

@@ -1,21 +1,50 @@
 //! # specrepair-faults
 //!
-//! Deterministic fault injection for the repair pipelines' chaos mode.
+//! The degradation discipline shared by the workspace's three unreliable
+//! seams: the LM transport, the persistent verdict tier's disk, and the
+//! router's shard links.
 //!
 //! The paper's LLM pipelines sit on a flaky remote API: calls time out, get
 //! rate-limited, fail transiently, or come back truncated (Alhanahnah et
 //! al. report malformed model output as a routine failure mode). This crate
-//! models that fault surface *reproducibly*: a [`FaultPlan`] is a pure
-//! function from a seed and a call index to an optional [`FaultKind`], so a
-//! chaos run is exactly replayable — same seed, same faults, same outcome —
-//! the property every resilience test in this workspace leans on.
+//! models that fault surface, and the disk's, *reproducibly*:
 //!
-//! [`FaultStats`] is the shared injected-fault accounting surfaced by
-//! `specrepaird`'s `GET /metrics` and the study harness's chaos report.
+//! - a [`Schedule`] is a pure function from a seed and a call index to an
+//!   optional fault of one [`Taxonomy`] — [`FaultPlan`] draws the
+//!   transport's [`FaultKind`]s, [`DiskFaultPlan`] the disk's
+//!   [`DiskFaultKind`]s — so a chaos run is exactly replayable (same seed,
+//!   same faults, same outcome), the property every resilience test in this
+//!   workspace leans on;
+//! - a [`FaultCounts`] counts injected faults per kind ([`FaultStats`] for
+//!   the transport, surfaced by `specrepaird`'s `GET /metrics` and the study
+//!   harness's chaos report; the disk tier's `persistent.injected_*`);
+//! - a [`CallBreaker`] sheds calls to a seam that keeps failing and probes
+//!   it back, counted in calls rather than seconds.
 
 #![warn(missing_docs)]
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Most kinds a [`Taxonomy`] may have.
+const MAX_KINDS: usize = 4;
+
+/// A fault taxonomy: the kinds one seam can fail with, and the draw stream a
+/// [`Schedule`] of them uses.
+pub trait Taxonomy: Copy + 'static {
+    /// Every kind in taxonomy order, at most four; a kind's position here is
+    /// its [`Taxonomy::index`].
+    const ALL: &'static [Self];
+    /// Odd multiplier spreading call indices over the draw's input.
+    const STREAM: u64;
+    /// Folded into every draw, so two taxonomies' schedules at equal seeds
+    /// stay uncorrelated.
+    const SALT: u64;
+    /// The kind's position in [`Taxonomy::ALL`].
+    fn index(self) -> usize;
+    /// Stable lower-case label (metrics keys, reports).
+    fn label(self) -> &'static str;
+}
 
 /// The kinds of transport fault the plan can inject, mirroring the failure
 /// taxonomy of a remote LLM API (DESIGN.md §7).
@@ -31,123 +60,27 @@ pub enum FaultKind {
     Truncated,
 }
 
-impl FaultKind {
-    /// All kinds, in taxonomy order.
-    pub const ALL: [FaultKind; 4] = [
+impl Taxonomy for FaultKind {
+    const ALL: &'static [FaultKind] = &[
         FaultKind::Timeout,
         FaultKind::RateLimit,
         FaultKind::Transient,
         FaultKind::Truncated,
     ];
+    const STREAM: u64 = 0x2545_f491_4f6c_dd1d;
+    const SALT: u64 = 0;
 
-    /// Stable lower-case label (metrics keys, reports).
-    pub fn label(&self) -> &'static str {
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    fn label(self) -> &'static str {
         match self {
             FaultKind::Timeout => "timeout",
             FaultKind::RateLimit => "rate_limit",
             FaultKind::Transient => "transient",
             FaultKind::Truncated => "truncated",
         }
-    }
-}
-
-/// SplitMix64: a tiny, high-quality mixer — the per-call fault draw must
-/// not need any shared RNG state, so each call index is hashed directly.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A deterministic per-call fault schedule.
-///
-/// `fault_at(i)` is a pure function of `(seed, i)`: two plans with the same
-/// seed, rate and kind set inject byte-identical fault sequences, no matter
-/// how calls interleave across threads. Retried calls consume fresh indices,
-/// so a retry is a fresh draw — exactly how a real flaky endpoint behaves,
-/// minus the nondeterminism.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultPlan {
-    /// Seed of the schedule.
-    pub seed: u64,
-    /// Probability of injecting a fault on any given call, in `[0, 1]`.
-    pub rate: f64,
-    /// Which kinds the plan may inject (subset of [`FaultKind::ALL`]).
-    kinds: [bool; 4],
-}
-
-impl FaultPlan {
-    /// The fault-free plan (rate 0): the production default.
-    pub fn none() -> FaultPlan {
-        FaultPlan {
-            seed: 0,
-            rate: 0.0,
-            kinds: [true; 4],
-        }
-    }
-
-    /// A plan injecting every fault kind at `rate`.
-    pub fn new(seed: u64, rate: f64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            rate: rate.clamp(0.0, 1.0),
-            kinds: [true; 4],
-        }
-    }
-
-    /// Restricts the plan to the given kinds (empty = keep all).
-    pub fn with_kinds(mut self, kinds: &[FaultKind]) -> FaultPlan {
-        if kinds.is_empty() {
-            return self;
-        }
-        self.kinds = [false; 4];
-        for k in kinds {
-            self.kinds[*k as usize] = true;
-        }
-        self
-    }
-
-    /// Whether the plan can inject anything at all.
-    pub fn is_active(&self) -> bool {
-        self.rate > 0.0 && self.kinds.iter().any(|&k| k)
-    }
-
-    /// The fault (if any) scheduled for call number `call` — a pure
-    /// function of the plan and the index.
-    pub fn fault_at(&self, call: u64) -> Option<FaultKind> {
-        if !self.is_active() {
-            return None;
-        }
-        let draw = mix(self.seed ^ call.wrapping_mul(0x2545_f491_4f6c_dd1d));
-        // Top 53 bits → uniform f64 in [0, 1).
-        let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
-        if unit >= self.rate {
-            return None;
-        }
-        let enabled: Vec<FaultKind> = FaultKind::ALL
-            .into_iter()
-            .filter(|k| self.kinds[*k as usize])
-            .collect();
-        let pick = mix(draw) as usize % enabled.len();
-        Some(enabled[pick])
-    }
-
-    /// The longest run of consecutive scheduled faults in the first
-    /// `calls` indices — the retry budget needed to absorb every fault of
-    /// a bounded run (chaos CI sizes its `--retries` with this).
-    pub fn max_consecutive_faults(&self, calls: u64) -> usize {
-        let mut longest = 0usize;
-        let mut current = 0usize;
-        for i in 0..calls {
-            if self.fault_at(i).is_some() {
-                current += 1;
-                longest = longest.max(current);
-            } else {
-                current = 0;
-            }
-        }
-        longest
     }
 }
 
@@ -165,16 +98,20 @@ pub enum DiskFaultKind {
     BitFlip,
 }
 
-impl DiskFaultKind {
-    /// All kinds, in taxonomy order.
-    pub const ALL: [DiskFaultKind; 3] = [
+impl Taxonomy for DiskFaultKind {
+    const ALL: &'static [DiskFaultKind] = &[
         DiskFaultKind::WriteError,
         DiskFaultKind::ShortWrite,
         DiskFaultKind::BitFlip,
     ];
+    const STREAM: u64 = 0x9e6c_63d0_876a_3f35;
+    const SALT: u64 = 0xd15c_fa17_0000_0001;
 
-    /// Stable lower-case label (metrics keys, reports).
-    pub fn label(&self) -> &'static str {
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    fn label(self) -> &'static str {
         match self {
             DiskFaultKind::WriteError => "write_error",
             DiskFaultKind::ShortWrite => "short_write",
@@ -183,86 +120,124 @@ impl DiskFaultKind {
     }
 }
 
-/// A deterministic per-append disk fault schedule, sharing [`FaultPlan`]'s
-/// pure-function discipline: `fault_at(i)` depends only on `(seed, i)`, so
-/// a chaotic cache run replays byte-identically under the same seed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiskFaultPlan {
-    /// Seed of the schedule.
-    pub seed: u64,
-    /// Probability of injecting a fault on any given append, in `[0, 1]`.
-    pub rate: f64,
-    /// Which kinds the plan may inject (subset of [`DiskFaultKind::ALL`]).
-    kinds: [bool; 3],
+/// One SplitMix64 step: a tiny, high-quality mixer. The workspace's seeded
+/// draws (fault schedules, backoff jitter, the load generator's sampler)
+/// hash their index with it instead of holding RNG state.
+pub fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
-impl DiskFaultPlan {
-    /// The fault-free plan (rate 0): the production default.
-    pub fn none() -> DiskFaultPlan {
-        DiskFaultPlan {
-            seed: 0,
-            rate: 0.0,
-            kinds: [true; 3],
-        }
+/// A deterministic per-call fault schedule over the taxonomy `K`.
+///
+/// `fault_at(i)` is a pure function of `(seed, i)`: two schedules with the
+/// same seed, rate and kind set inject byte-identical fault sequences, no
+/// matter how calls interleave across threads. Retried calls consume fresh
+/// indices, so a retry is a fresh draw — exactly how a real flaky endpoint
+/// behaves, minus the nondeterminism.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Schedule<K> {
+    /// Seed of the schedule.
+    pub seed: u64,
+    /// Probability of injecting a fault on any given call, in `[0, 1]`.
+    pub rate: f64,
+    /// Bit `i` set when `K::ALL[i]` may be injected.
+    kinds: u8,
+    taxonomy: PhantomData<K>,
+}
+
+/// The LM transport's fault schedule.
+pub type FaultPlan = Schedule<FaultKind>;
+
+/// The persistent cache's per-append disk fault schedule.
+pub type DiskFaultPlan = Schedule<DiskFaultKind>;
+
+impl<K: Taxonomy> Schedule<K> {
+    /// The fault-free schedule (rate 0): the production default.
+    pub fn none() -> Schedule<K> {
+        Schedule::new(0, 0.0)
     }
 
-    /// A plan injecting every disk fault kind at `rate`.
-    pub fn new(seed: u64, rate: f64) -> DiskFaultPlan {
-        DiskFaultPlan {
+    /// A schedule injecting every kind at `rate`.
+    pub fn new(seed: u64, rate: f64) -> Schedule<K> {
+        Schedule {
             seed,
             rate: rate.clamp(0.0, 1.0),
-            kinds: [true; 3],
+            kinds: (1 << K::ALL.len()) - 1,
+            taxonomy: PhantomData,
         }
     }
 
-    /// Restricts the plan to the given kinds (empty = keep all).
-    pub fn with_kinds(mut self, kinds: &[DiskFaultKind]) -> DiskFaultPlan {
-        if kinds.is_empty() {
-            return self;
-        }
-        self.kinds = [false; 3];
-        for k in kinds {
-            self.kinds[*k as usize] = true;
+    /// Restricts the schedule to the given kinds (empty = keep all).
+    pub fn with_kinds(mut self, kinds: &[K]) -> Schedule<K> {
+        if !kinds.is_empty() {
+            self.kinds = kinds.iter().fold(0, |mask, k| mask | 1 << k.index());
         }
         self
     }
 
-    /// Whether the plan can inject anything at all.
+    /// Whether the schedule can inject anything at all.
     pub fn is_active(&self) -> bool {
-        self.rate > 0.0 && self.kinds.iter().any(|&k| k)
+        self.rate > 0.0 && self.kinds != 0
     }
 
-    /// The disk fault (if any) scheduled for append number `call` — a pure
-    /// function of the plan and the index. A distinct stream constant keeps
-    /// disk draws uncorrelated with the transport plan at equal seeds.
-    pub fn fault_at(&self, call: u64) -> Option<DiskFaultKind> {
+    /// The fault (if any) scheduled for call number `call` — a pure
+    /// function of the schedule and the index.
+    pub fn fault_at(&self, call: u64) -> Option<K> {
         if !self.is_active() {
             return None;
         }
-        let draw =
-            mix(self.seed ^ call.wrapping_mul(0x9e6c_63d0_876a_3f35) ^ 0xd15c_fa17_0000_0001);
+        let draw = mix(self.seed ^ call.wrapping_mul(K::STREAM) ^ K::SALT);
+        // Top 53 bits → uniform f64 in [0, 1).
         let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
         if unit >= self.rate {
             return None;
         }
-        let enabled: Vec<DiskFaultKind> = DiskFaultKind::ALL
-            .into_iter()
-            .filter(|k| self.kinds[*k as usize])
-            .collect();
-        let pick = mix(draw) as usize % enabled.len();
-        Some(enabled[pick])
+        let pick = mix(draw) % u64::from(self.kinds.count_ones());
+        K::ALL
+            .iter()
+            .filter(|k| self.kinds & 1 << k.index() != 0)
+            .nth(pick as usize)
+            .copied()
+    }
+
+    /// The longest run of consecutive scheduled faults in the first
+    /// `calls` indices — the retry budget needed to absorb every fault of
+    /// a bounded run (`specrepair_llm::chaos_stack` sizes its retries with
+    /// this).
+    pub fn max_consecutive_faults(&self, calls: u64) -> usize {
+        let mut longest = 0usize;
+        let mut current = 0usize;
+        for i in 0..calls {
+            if self.fault_at(i).is_some() {
+                current += 1;
+                longest = longest.max(current);
+            } else {
+                current = 0;
+            }
+        }
+        longest
     }
 }
 
-/// A call-count circuit breaker: the degradation discipline shared by every
-/// unreliable seam in the workspace (the persistent cache's disk appends,
-/// the LM transport, the cluster's per-shard links).
+/// A call-count circuit breaker: the degradation discipline of every
+/// unreliable seam in the workspace — the LM transport (`ResilientLm`), the
+/// persistent cache's disk appends, and the router's per-shard links.
 ///
 /// Counting calls instead of wall-clock time keeps chaos runs deterministic:
 /// the same fault schedule trips and heals the breaker at the same call
-/// indices on every run. `trip_after` consecutive failures open it; while
-/// open every `halfopen_after`-th call is allowed through as a probe, and a
-/// probe success closes it again.
+/// indices on every run. The one rule:
+///
+/// - `trip_after` consecutive failures open it (one trip);
+/// - while open it sheds calls, letting every `halfopen_after`-th through
+///   as a probe;
+/// - a successful probe closes it; a failed probe restarts the cooldown
+///   without counting a new trip.
+///
+/// Whether it has ever tripped is sticky: [`CallBreaker::has_tripped`]
+/// stays true after the breaker closes again.
 #[derive(Debug)]
 pub struct CallBreaker {
     trip_after: u32,
@@ -275,6 +250,7 @@ struct CallBreakerInner {
     consecutive_failures: u32,
     open: bool,
     skips_while_open: u32,
+    tripped: bool,
 }
 
 impl CallBreaker {
@@ -328,6 +304,7 @@ impl CallBreaker {
         if inner.consecutive_failures >= self.trip_after {
             inner.open = true;
             inner.skips_while_open = 0;
+            inner.tripped = true;
             return true;
         }
         false
@@ -337,40 +314,59 @@ impl CallBreaker {
     pub fn is_open(&self) -> bool {
         self.lock().open
     }
+
+    /// Whether the breaker has ever tripped, even if it has closed since.
+    pub fn has_tripped(&self) -> bool {
+        self.lock().tripped
+    }
 }
 
-/// Shared injected-fault accounting: one atomic counter per kind. Cheap to
-/// clone behind an `Arc`; every decorated transport records here.
-#[derive(Debug, Default)]
-pub struct FaultStats {
-    counters: [AtomicU64; 4],
+/// Injected-fault accounting for the taxonomy `K`: one atomic counter per
+/// kind. Cheap to share behind an `Arc`.
+#[derive(Debug)]
+pub struct FaultCounts<K> {
+    counters: [AtomicU64; MAX_KINDS],
+    taxonomy: PhantomData<K>,
 }
 
-impl FaultStats {
+/// The LM transport's injected-fault counters; every decorated transport
+/// records here.
+pub type FaultStats = FaultCounts<FaultKind>;
+
+impl<K> Default for FaultCounts<K> {
+    fn default() -> Self {
+        FaultCounts {
+            counters: Default::default(),
+            taxonomy: PhantomData,
+        }
+    }
+}
+
+impl<K: Taxonomy> FaultCounts<K> {
     /// A zeroed registry.
-    pub fn new() -> FaultStats {
-        FaultStats::default()
+    pub fn new() -> FaultCounts<K> {
+        FaultCounts::default()
     }
 
     /// Records one injected fault.
-    pub fn record(&self, kind: FaultKind) {
-        self.counters[kind as usize].fetch_add(1, Ordering::Relaxed);
+    pub fn record(&self, kind: K) {
+        self.counters[kind.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count injected so far for one kind.
-    pub fn count(&self, kind: FaultKind) -> u64 {
-        self.counters[kind as usize].load(Ordering::Relaxed)
+    pub fn count(&self, kind: K) -> u64 {
+        self.counters[kind.index()].load(Ordering::Relaxed)
     }
 
     /// Total faults injected across all kinds.
     pub fn total(&self) -> u64 {
-        FaultKind::ALL.iter().map(|&k| self.count(k)).sum()
+        K::ALL.iter().map(|&k| self.count(k)).sum()
     }
 
     /// Snapshot as `(kind label, count)` pairs in taxonomy order — what
     /// the daemon's `transport.injected_faults` metrics read.
     pub fn pairs(&self) -> Vec<(String, u64)> {
-        FaultKind::ALL
+        K::ALL
             .iter()
             .map(|&k| (k.label().to_string(), self.count(k)))
             .collect()
@@ -494,6 +490,7 @@ mod tests {
     fn breaker_trips_after_consecutive_failures_and_probes_half_open() {
         let breaker = CallBreaker::new(3, 4);
         assert!(!breaker.is_open());
+        assert!(!breaker.has_tripped());
         assert!(!breaker.failure());
         assert!(!breaker.failure());
         breaker.success(); // a success resets the consecutive count
@@ -507,10 +504,63 @@ mod tests {
         // A failed probe restarts the cooldown without re-tripping.
         assert!(!breaker.failure());
         assert!(breaker.is_open());
-        // A successful probe closes the breaker.
+        // A successful probe closes the breaker; the trip stays on record.
         breaker.success();
         assert!(!breaker.is_open());
+        assert!(breaker.has_tripped());
         assert!(breaker.allow());
+    }
+
+    fn fnv1a(h: &mut u64, bytes: &[u8]) {
+        for b in bytes {
+            *h ^= u64::from(*b);
+            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// FNV-1a over the first 4096 draws and the longest burst of transport
+    /// and disk schedules across seeds, rates and kind restrictions. Pinned
+    /// before the two schedules shared one implementation; never regenerate
+    /// it to make a change pass.
+    #[test]
+    fn schedules_match_the_pinned_digest() {
+        const PINNED: u64 = 0xea51_0597_7a37_caf0;
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for seed in [0, 7, 0xD15C, 0xC4A05, 0xFA017] {
+            for rate in [0.05, 0.3, 1.0] {
+                let lm = FaultPlan::new(seed, rate);
+                for plan in [
+                    lm,
+                    lm.with_kinds(&[FaultKind::Truncated]),
+                    lm.with_kinds(&[FaultKind::Timeout, FaultKind::Transient]),
+                ] {
+                    let draws: Vec<u8> = (0..4096)
+                        .map(|i| plan.fault_at(i).map_or(0, |k| k as u8 + 1))
+                        .collect();
+                    fnv1a(&mut h, &draws);
+                    fnv1a(
+                        &mut h,
+                        &(plan.max_consecutive_faults(4096) as u64).to_le_bytes(),
+                    );
+                }
+                let disk = DiskFaultPlan::new(seed, rate);
+                for plan in [
+                    disk,
+                    disk.with_kinds(&[DiskFaultKind::BitFlip]),
+                    disk.with_kinds(&[DiskFaultKind::WriteError, DiskFaultKind::BitFlip]),
+                ] {
+                    let draws: Vec<u8> = (0..4096)
+                        .map(|i| plan.fault_at(i).map_or(0, |k| k as u8 + 1))
+                        .collect();
+                    fnv1a(&mut h, &draws);
+                    // The longest burst, recounted from the draws: the digest
+                    // predates the disk schedule's `max_consecutive_faults`.
+                    let burst = draws.split(|&d| d == 0).map(<[u8]>::len).max().unwrap_or(0);
+                    fnv1a(&mut h, &(burst as u64).to_le_bytes());
+                }
+            }
+        }
+        assert_eq!(h, PINNED, "schedule digest moved: {h:#018x}");
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use multi_round::MultiRound;
 pub use prompt::{
     invert_fix_description, Feedback, FeedbackSetting, ProblemHints, Prompt, PromptSetting,
 };
-pub use resilient::{BreakerConfig, CircuitBreaker, ResilientLm, RetryPolicy, TransportStats};
+pub use resilient::{ResilientLm, RetryPolicy, TransportStats};
 pub use single_round::SingleRound;
 pub use transport::{FaultyLm, LmTransport, LmTransportError};
 

@@ -1,5 +1,5 @@
 //! The resilience layer: bounded retries, deterministic backoff and a
-//! per-technique circuit breaker over any [`LmTransport`].
+//! circuit breaker over any [`LmTransport`].
 //!
 //! [`ResilientLm`] is what the repair pipelines actually hold. Around every
 //! transport call it provides:
@@ -11,28 +11,21 @@
 //! - **cancellation-aware sleeps**: every backoff wait goes through
 //!   [`CancelToken::sleep`], so a deadline or explicit cancel cuts the wait
 //!   short instead of blocking the worker;
-//! - **a circuit breaker** whose cooldown is counted in *rejected calls*
-//!   rather than wall-clock time, keeping the whole state machine a pure
-//!   function of the call sequence (and therefore reproducible).
-//!
-//! The breaker state machine:
-//!
-//! ```text
-//!          trip_after consecutive exhausted calls
-//! Closed ────────────────────────────────────────► Open
-//!   ▲                                               │ cooldown rejected calls
-//!   │ probe succeeds                                ▼
-//!   └──────────────────────────────────────────── HalfOpen
-//!                     probe fails: back to Open
-//! ```
+//! - **a circuit breaker**, the workspace's one call-count
+//!   [`CallBreaker`] (the disk tier and the router's shard links run the
+//!   same rule): five consecutive given-up calls trip it, it then sheds
+//!   eight calls and lets the ninth through as a probe, a successful probe
+//!   closes it, and a failed one restarts the cooldown without a new trip.
+//!   [`ResilientLm::degraded`] reads the breaker's sticky "has tripped"
+//!   bit.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use rand_chacha::ChaCha8Rng;
 use specrepair_core::CancelToken;
-use specrepair_faults::FaultStats;
+use specrepair_faults::{mix, CallBreaker, FaultStats};
 use specrepair_telemetry::Counter;
 
 use crate::model::{Guidance, SyntheticLm};
@@ -98,143 +91,22 @@ impl RetryPolicy {
         } else {
             exp
         };
-        // Deterministic jitter in [50%, 150%): SplitMix64 of (seed, index).
-        let mut z = self
-            .jitter_seed
-            .wrapping_add(sleep_index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        // Deterministic jitter in [50%, 150%): SplitMix64 of (seed, index),
+        // whose state at `index` is `seed + index·γ` (`mix` adds one γ).
+        let z = mix(self.jitter_seed.wrapping_add(
+            sleep_index
+                .wrapping_sub(1)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        ));
         let jitter_pct = 50 + (z % 100); // 50..149
         exp.saturating_mul(jitter_pct as u32) / 100
     }
 }
 
-/// Circuit-breaker thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive exhausted calls (retries included) before the breaker
-    /// opens.
-    pub trip_after: usize,
-    /// Rejected calls the breaker absorbs while open before allowing a
-    /// half-open probe. Counted in calls, not seconds, for determinism.
-    pub cooldown_calls: usize,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            trip_after: 5,
-            cooldown_calls: 8,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    Closed { consecutive_failures: usize },
-    Open { rejections_left: usize },
-    HalfOpen,
-}
-
-/// A deterministic circuit breaker. See the module docs for the state
-/// machine.
-#[derive(Debug)]
-pub struct CircuitBreaker {
-    config: BreakerConfig,
-    state: Mutex<BreakerState>,
-    ever_tripped: AtomicBool,
-}
-
-impl CircuitBreaker {
-    /// Creates a breaker in the closed state.
-    pub fn new(config: BreakerConfig) -> CircuitBreaker {
-        CircuitBreaker {
-            config,
-            state: Mutex::new(BreakerState::Closed {
-                consecutive_failures: 0,
-            }),
-            ever_tripped: AtomicBool::new(false),
-        }
-    }
-
-    /// Whether a call may proceed. A `false` counts toward the open
-    /// state's cooldown.
-    fn admit(&self) -> bool {
-        let mut state = self.state.lock().unwrap();
-        match *state {
-            BreakerState::Closed { .. } | BreakerState::HalfOpen => true,
-            BreakerState::Open { rejections_left } => {
-                if rejections_left <= 1 {
-                    *state = BreakerState::HalfOpen;
-                } else {
-                    *state = BreakerState::Open {
-                        rejections_left: rejections_left - 1,
-                    };
-                }
-                false
-            }
-        }
-    }
-
-    /// Records a successful call.
-    fn on_success(&self) {
-        *self.state.lock().unwrap() = BreakerState::Closed {
-            consecutive_failures: 0,
-        };
-    }
-
-    /// Records a call whose retries were exhausted. Returns `true` when
-    /// this failure tripped the breaker open.
-    fn on_failure(&self) -> bool {
-        let mut state = self.state.lock().unwrap();
-        match *state {
-            BreakerState::Closed {
-                consecutive_failures,
-            } => {
-                let n = consecutive_failures + 1;
-                if n >= self.config.trip_after {
-                    *state = BreakerState::Open {
-                        rejections_left: self.config.cooldown_calls,
-                    };
-                    self.ever_tripped.store(true, Ordering::Relaxed);
-                    true
-                } else {
-                    *state = BreakerState::Closed {
-                        consecutive_failures: n,
-                    };
-                    false
-                }
-            }
-            BreakerState::HalfOpen => {
-                // Failed probe: straight back to open.
-                *state = BreakerState::Open {
-                    rejections_left: self.config.cooldown_calls,
-                };
-                self.ever_tripped.store(true, Ordering::Relaxed);
-                true
-            }
-            BreakerState::Open { .. } => false,
-        }
-    }
-
-    /// Whether the breaker is currently open (rejecting calls).
-    pub fn is_open(&self) -> bool {
-        matches!(*self.state.lock().unwrap(), BreakerState::Open { .. })
-    }
-
-    /// Whether the breaker has ever tripped — the signal the Multi-Round
-    /// pipeline uses to degrade to its no-feedback setting.
-    pub fn ever_tripped(&self) -> bool {
-        self.ever_tripped.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for CircuitBreaker {
-    fn default() -> Self {
-        CircuitBreaker::new(BreakerConfig::default())
-    }
-}
+/// Consecutive given-up calls that trip the LM breaker open.
+const TRIP_AFTER: u32 = 5;
+/// While open, every `HALFOPEN_AFTER`-th call probes: eight are shed first.
+const HALFOPEN_AFTER: u32 = 9;
 
 /// Monotone counters describing the resilience layer's work, carried as
 /// lock-free telemetry [`Counter`] handles so the same cells can be
@@ -246,7 +118,8 @@ pub struct TransportStats {
     pub retries: Counter,
     /// Calls whose retry budget was exhausted.
     pub giveups: Counter,
-    /// Times a circuit breaker tripped open.
+    /// Times the breaker tripped open from closed (a failed probe only
+    /// restarts the cooldown).
     pub breaker_trips: Counter,
     /// Calls rejected by an open breaker.
     pub breaker_rejections: Counter,
@@ -275,7 +148,7 @@ impl TransportStats {
 pub struct ResilientLm {
     inner: Arc<dyn LmTransport>,
     policy: RetryPolicy,
-    breaker: Arc<CircuitBreaker>,
+    breaker: Arc<CallBreaker>,
     stats: Arc<TransportStats>,
     sleeps: Arc<AtomicU64>,
 }
@@ -308,7 +181,7 @@ impl ResilientLm {
         ResilientLm {
             inner: Arc::new(transport),
             policy: RetryPolicy::default(),
-            breaker: Arc::new(CircuitBreaker::default()),
+            breaker: Arc::new(CallBreaker::new(TRIP_AFTER, HALFOPEN_AFTER)),
             stats: Arc::new(TransportStats::new()),
             sleeps: Arc::new(AtomicU64::new(0)),
         }
@@ -317,12 +190,6 @@ impl ResilientLm {
     /// Replaces the retry policy.
     pub fn with_policy(mut self, policy: RetryPolicy) -> ResilientLm {
         self.policy = policy;
-        self
-    }
-
-    /// Replaces the breaker configuration.
-    pub fn with_breaker(mut self, config: BreakerConfig) -> ResilientLm {
-        self.breaker = Arc::new(CircuitBreaker::new(config));
         self
     }
 
@@ -340,7 +207,7 @@ impl ResilientLm {
     /// Whether the stack is degraded: the breaker tripped at least once.
     /// Multi-Round uses this to fall back to its no-feedback setting.
     pub fn degraded(&self) -> bool {
-        self.breaker.ever_tripped()
+        self.breaker.has_tripped()
     }
 
     /// One logical completion: up to `1 + max_retries` transport attempts
@@ -352,7 +219,7 @@ impl ResilientLm {
         rng: &mut ChaCha8Rng,
         cancel: &CancelToken,
     ) -> Result<Option<String>, LmTransportError> {
-        if !self.breaker.admit() {
+        if !self.breaker.allow() {
             self.stats.breaker_rejections.inc();
             return Err(LmTransportError::CircuitOpen);
         }
@@ -360,13 +227,13 @@ impl ResilientLm {
         loop {
             match self.inner.call(prompt, guidance, rng) {
                 Ok(out) => {
-                    self.breaker.on_success();
+                    self.breaker.success();
                     return Ok(out);
                 }
                 Err(err) => {
                     let out_of_budget = attempt >= self.policy.max_retries || !err.is_retryable();
                     if out_of_budget || cancel.is_cancelled() {
-                        if self.breaker.on_failure() {
+                        if self.breaker.failure() {
                             self.stats.breaker_trips.inc();
                         }
                         self.stats.giveups.inc();
@@ -451,67 +318,88 @@ mod tests {
         assert_eq!(resilient.stats().retries.get(), 2);
     }
 
+    /// Sheds `n` calls, each with `CircuitOpen`.
+    fn assert_shed(resilient: &ResilientLm, r: &mut ChaCha8Rng, n: usize) {
+        for _ in 0..n {
+            let e = resilient
+                .propose(&prompt(), None, r, &CancelToken::none())
+                .unwrap_err();
+            assert_eq!(e, LmTransportError::CircuitOpen);
+        }
+    }
+
     #[test]
     fn breaker_opens_then_recovers_through_half_open() {
         let plan = FaultPlan::new(2, 1.0);
-        let faulty = FaultyLm::new(SyntheticLm::default(), plan);
-        let resilient = ResilientLm::over(faulty)
-            .with_policy(RetryPolicy::snappy().with_max_retries(0))
-            .with_breaker(BreakerConfig {
-                trip_after: 3,
-                cooldown_calls: 2,
-            });
+        let resilient = ResilientLm::over(FaultyLm::new(SyntheticLm::default(), plan))
+            .with_policy(RetryPolicy::snappy().with_max_retries(0));
         let cancel = CancelToken::none();
         let mut r = rng(0);
-        // 3 failures trip the breaker...
-        for _ in 0..3 {
+        // 5 exhausted calls trip the breaker...
+        for _ in 0..5 {
             let e = resilient
                 .propose(&prompt(), None, &mut r, &cancel)
                 .unwrap_err();
             assert_ne!(e, LmTransportError::CircuitOpen);
         }
         assert!(resilient.degraded());
-        // ...the next 2 calls are shed...
-        for _ in 0..2 {
-            assert_eq!(
-                resilient
-                    .propose(&prompt(), None, &mut r, &cancel)
-                    .unwrap_err(),
-                LmTransportError::CircuitOpen
-            );
-        }
-        assert_eq!(resilient.stats().breaker_rejections.get(), 2);
-        // ...and the half-open probe runs against the (still faulty)
-        // transport, failing back to open.
+        assert_eq!(resilient.stats().breaker_trips.get(), 1);
+        // ...the next 8 calls are shed...
+        assert_shed(&resilient, &mut r, 8);
+        assert_eq!(resilient.stats().breaker_rejections.get(), 8);
+        // ...and the 9th probes the (still faulty) transport.
         let e = resilient
             .propose(&prompt(), None, &mut r, &cancel)
             .unwrap_err();
         assert_ne!(e, LmTransportError::CircuitOpen);
-        assert_eq!(
-            resilient.stats().breaker_trips.get(),
-            2,
-            "probe failure must re-trip"
-        );
+        // The failed probe restarts the cooldown without a new trip.
+        assert_eq!(resilient.stats().breaker_trips.get(), 1);
+        assert_shed(&resilient, &mut r, 8);
+        assert_eq!(resilient.stats().breaker_rejections.get(), 16);
+        assert_eq!(resilient.stats().giveups.get(), 6);
+    }
+
+    /// A transport failing its first `failures` calls, then answering like
+    /// the bare model.
+    #[derive(Debug)]
+    struct Recovering {
+        failures: u64,
+        calls: AtomicU64,
+    }
+
+    impl LmTransport for Recovering {
+        fn call(
+            &self,
+            prompt: &Prompt,
+            guidance: Option<&Guidance>,
+            rng: &mut ChaCha8Rng,
+        ) -> Result<Option<String>, LmTransportError> {
+            if self.calls.fetch_add(1, Ordering::Relaxed) < self.failures {
+                return Err(LmTransportError::Transient);
+            }
+            SyntheticLm::default().call(prompt, guidance, rng)
+        }
     }
 
     #[test]
     fn breaker_closes_after_successful_probe() {
-        // Faults only early in the schedule: manufacture one by picking a
-        // plan whose first calls fault. Use rate 1.0 but swap the transport
-        // after tripping — simplest: trip via a dedicated stack, then
-        // verify a fresh success closes the breaker.
-        let breaker = CircuitBreaker::new(BreakerConfig {
-            trip_after: 1,
-            cooldown_calls: 1,
-        });
-        assert!(breaker.admit());
-        assert!(breaker.on_failure());
-        assert!(breaker.is_open());
-        assert!(!breaker.admit()); // consumes the cooldown
-        assert!(breaker.admit()); // half-open probe allowed
-        breaker.on_success();
-        assert!(!breaker.is_open());
-        assert!(breaker.ever_tripped(), "history is sticky");
+        let resilient = ResilientLm::over(Recovering {
+            failures: 5,
+            calls: AtomicU64::new(0),
+        })
+        .with_policy(RetryPolicy::snappy().with_max_retries(0));
+        let cancel = CancelToken::none();
+        let mut r = rng(0);
+        for _ in 0..5 {
+            assert!(resilient.propose(&prompt(), None, &mut r, &cancel).is_err());
+        }
+        assert_shed(&resilient, &mut r, 8);
+        // The 9th call probes the recovered transport and closes the breaker.
+        assert!(resilient.propose(&prompt(), None, &mut r, &cancel).is_ok());
+        assert!(resilient.propose(&prompt(), None, &mut r, &cancel).is_ok());
+        assert_eq!(resilient.stats().breaker_trips.get(), 1);
+        assert_eq!(resilient.stats().breaker_rejections.get(), 8);
+        assert!(resilient.degraded(), "the trip stays on record");
     }
 
     #[test]

@@ -281,7 +281,6 @@ impl Portfolio {
                         source: ctx.source.clone(),
                         budget: entrant.budget,
                         oracle: ctx.oracle.clone(),
-                        hasher: ctx.hasher.clone(),
                         cancel: tokens[rank].clone(),
                     };
                     let t_start = now_ms();

@@ -28,6 +28,7 @@ use serde::Value;
 use specrepair_benchmarks::a4f;
 use specrepair_cluster::client::connect_with_retry;
 use specrepair_core::CancelToken;
+use specrepair_faults::mix;
 use specrepair_mutation::{inject_fault, InjectorConfig};
 use specrepair_study::TechniqueId;
 
@@ -283,15 +284,6 @@ impl LoadgenReport {
         }
         text
     }
-}
-
-/// SplitMix64 — the workload sampler's only randomness primitive, so the
-/// draw sequence is a pure function of the config seed.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A deterministic pool of up to `cap` injected-fault variants of the A4F

@@ -125,14 +125,22 @@ impl TraceTotals {
         TraceTotals::default()
     }
 
-    /// Folds one drained batch of spans (typically: everything one repair
-    /// request produced) into the totals.
+    /// Folds one drained batch of spans into the totals. The sink is
+    /// process-wide, so one request's batch can carry another's spans and
+    /// leave that request's own batch empty: requests are counted by the
+    /// closed `cell` roots a batch carries (one per `/repair` that ran a
+    /// cell), not by batch. Not every root is a cell: `reference` scoring
+    /// records parent-0 `oracle.*` spans after the cell closes.
     pub fn absorb(&self, spans: &[SpanRecord]) {
         if spans.is_empty() {
             return;
         }
         self.spans.add(spans.len() as u64);
-        self.requests.inc();
+        let roots = spans
+            .iter()
+            .filter(|s| s.parent == 0 && s.name == "cell")
+            .count();
+        self.requests.add(roots as u64);
         for (i, ns) in specrepair_trace::phase_totals_ns(spans).iter().enumerate() {
             self.phase_ns[i].add(*ns);
         }

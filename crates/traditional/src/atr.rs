@@ -27,6 +27,7 @@ use mualloy_analyzer::Oracle;
 use mualloy_relational::Instance;
 use mualloy_syntax::ast::*;
 use mualloy_syntax::walk::{node_at, NodeRepl, NodeSite};
+use mualloy_syntax::SpecHasher;
 use specrepair_core::{
     localization::{constraint_sites, localize_with},
     OutcomeReason, RepairContext, RepairOutcome, RepairTechnique,
@@ -175,6 +176,7 @@ impl RepairTechnique for Atr {
     }
 
     fn repair(&self, ctx: &RepairContext) -> RepairOutcome {
+        let hasher = SpecHasher::new(&ctx.faulty);
         let oracle = ctx.oracle.service();
         let mut seen = HashSet::new();
         let mut session = ctx.validation_session();
@@ -267,7 +269,7 @@ impl RepairTechnique for Atr {
             let mut weak = Vec::new();
             for (target, repl) in &edits {
                 let Some((mut candidate, key)) =
-                    Candidate::keyed(&ctx.faulty, &ctx.hasher, &places, *target, repl)
+                    Candidate::keyed(&ctx.faulty, &hasher, &places, *target, repl)
                 else {
                     continue;
                 };
@@ -344,7 +346,7 @@ mod tests {
         // The candidate as one edit of the faulty spec's first fact.
         let payload = NodeRepl::Formula(candidate.facts[0].body[0].clone());
         let places = places(&mualloy_syntax::collect_sites(faulty));
-        let hasher = mualloy_syntax::SpecHasher::new(faulty);
+        let hasher = SpecHasher::new(faulty);
         let target = faulty.facts[0].body[0].id();
         let (mut cand, _) = Candidate::keyed(faulty, &hasher, &places, target, &payload).unwrap();
         verdicts
@@ -385,8 +387,8 @@ mod tests {
     /// builds the same spec. About 4 s unoptimized.
     #[test]
     fn cached_screen_matches_the_whole_spec_screen_on_the_corpus() {
+        use mualloy_syntax::spec_fingerprint;
         use mualloy_syntax::walk::replace_node;
-        use mualloy_syntax::{spec_fingerprint, SpecHasher};
         let oracle = Oracle::new();
         let atr = Atr::default();
         let (mut edits_checked, mut by_screen) = (0, [0usize; 3]);

@@ -59,6 +59,7 @@ impl RepairTechnique for BeAFix {
     }
 
     fn repair(&self, ctx: &RepairContext) -> RepairOutcome {
+        let hasher = SpecHasher::new(&ctx.faulty);
         let mut seen = HashSet::new();
         let mut session = ctx.validation_session();
 
@@ -80,7 +81,7 @@ impl RepairTechnique for BeAFix {
             };
             // Depth-1 mutants are single-node rewrites of the faulty spec:
             // their fingerprint is an O(path) incremental rehash.
-            let key = ctx.fingerprint_edit(&mutant, m.site, &m.repl);
+            let key = hasher.fingerprint_edit(&mutant, m.site, &m.repl);
             match self.try_candidate(mutant, key, &mut seen, &mut session) {
                 Some(Ok(fixed)) => {
                     return RepairOutcome::success_with(self.name(), fixed, session.validated(), 1)

@@ -162,6 +162,10 @@ fn corrupt_record_is_quarantined_not_fatal() {
         metric(&addr, &["persistent", "quarantined"]) >= 1.0,
         "damage was not quarantined"
     );
+    assert!(
+        metric(&addr, &["persistent", "preloaded"]) >= 1.0,
+        "quarantine threw away the good records"
+    );
     let (status, _) = call(&addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
     repair_wave(&addr);

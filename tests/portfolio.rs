@@ -115,7 +115,6 @@ impl<T: RepairTechnique> RepairTechnique for Budgeted<T> {
             source: ctx.source.clone(),
             budget: self.budget,
             oracle: ctx.oracle.clone(),
-            hasher: ctx.hasher.clone(),
             cancel: ctx.cancel.clone(),
         };
         self.inner.repair(&ctx)

@@ -1,6 +1,7 @@
 //! Integration: a daemon booted with tracing on reports per-phase span
-//! totals on `GET /trace/summary` after a loadgen run, and the phase
-//! percentages add up to the whole.
+//! totals on `GET /trace/summary` after a loadgen run, the phase
+//! percentages add up to the whole, and every request that ran a cell is
+//! counted once.
 //!
 //! This binary holds a single test: tracing is enabled process-wide, so a
 //! second concurrently-running daemon would share its span collector.
@@ -45,7 +46,7 @@ fn traced_daemon_reports_phase_totals_that_sum_to_the_whole() {
 
     let report = loadgen::run(&LoadgenConfig {
         addr: addr.clone(),
-        requests: 20,
+        requests: 40,
         connections: 4,
         ..LoadgenConfig::default()
     });
@@ -63,6 +64,14 @@ fn traced_daemon_reports_phase_totals_that_sum_to_the_whole() {
     assert_eq!(field(&doc, "tracing_enabled"), &Value::Bool(true), "{body}");
     assert!(number(field(&doc, "spans_total")) > 0.0, "{body}");
     assert!(number(field(&doc, "attributed_ms_total")) > 0.0, "{body}");
+    // Every /repair that ran a cell is counted once, whichever worker's
+    // span drain carried its cell root.
+    assert_eq!(
+        number(field(&doc, "traced_requests_total")),
+        (report.ok + report.timed_out) as f64,
+        "{body}\n{}",
+        report.render()
+    );
     let Value::Map(phases) = field(&doc, "phases") else {
         panic!("phases is not a map: {body}");
     };
